@@ -51,7 +51,6 @@ from .decomp import (
 from .criticality import (
     CriticalityReport,
     MinimalityCertificate,
-    SplitMix64,
     check_connectivity_properties,
     is_k_factor_critical,
     is_k_factor_critical_via_odd_components,
@@ -79,6 +78,7 @@ from .configurations import (
 )
 from .enumeration import (
     CanonicalForm,
+    SplitMix64,
     all_graphs,
     canonical_form,
     canonical_graph,

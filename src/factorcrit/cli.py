@@ -102,26 +102,25 @@ def _record_for(g: Graph, k: int, minimal: bool) -> VerificationRecord:
     )
 
 
-def _scan_worker(task: tuple[str, int]) -> dict | None:
-    g6, k = task
-    g = parse_graph6(g6)
+def _scan_worker(task: tuple[Graph, int]) -> VerificationRecord | None:
+    g, k = task
     ok, _ = is_k_factor_critical(g, k)
     if not ok:
         return None
-    return _record_for(g, k, _quick_minimal(g, k)).to_dict()
+    return _record_for(g, k, _quick_minimal(g, k))
 
 
-def _sample_worker(task: tuple[int, float, int, int]) -> dict | None:
+def _sample_worker(task: tuple[int, float, int, int]) -> VerificationRecord | None:
     n, p, k, seed = task
     g = random_graph(n, p, seed)
     ok, _ = is_k_factor_critical(g, k)
     if not ok:
         return None
     m = minimalize(g, k, seed)
-    return _record_for(m, k, True).to_dict()
+    return _record_for(m, k, True)
 
 
-def _run_pool(worker, tasks: list, jobs: int) -> Iterable[dict | None]:
+def _run_pool(worker, tasks: list, jobs: int) -> Iterable[VerificationRecord | None]:
     if jobs <= 1:
         return map(worker, tasks)
     pool = Pool(jobs)
@@ -170,16 +169,14 @@ def verify_scan(
                 raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
         else:
             raise GraphError(f"unknown source {source!r}")
-        scan_tasks = [(to_graph6(g), k) for g in graphs]
-        results = _run_pool(_scan_worker, scan_tasks, jobs)
-        tasks = scan_tasks
+        tasks = [(g, k) for g in graphs]
+        results = _run_pool(_scan_worker, tasks, jobs)
 
     records = []
     kfc = minimal = failures = 0
-    for raw in results:
-        if raw is None:
+    for rec in results:
+        if rec is None:
             continue
-        rec = VerificationRecord(**raw)
         kfc += 1
         minimal += 1 if rec.is_minimal else 0
         failures += 1 if rec.verdict == "fail" else 0

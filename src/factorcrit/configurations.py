@@ -23,8 +23,10 @@ from .graphs import (
     Graph,
     GraphError,
     VertexSet,
+    _trusted,
     add_edge,
     common_nonneighborhood,
+    graph_from_edges,
     min_degree,
 )
 from .matching import has_perfect_matching
@@ -311,11 +313,7 @@ def build_instance(
             if v_size == 1:
                 edges.append((x_block[0], v))
 
-    rows = [0] * n
-    for a, b in set(edges):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    host = Graph(n, tuple(rows))
+    host = graph_from_edges(n, edges)
 
     if min_degree(host) < n - 8:
         raise HostBuildError(
@@ -353,7 +351,7 @@ def core_graph(host: Graph, e: Edge, s_e: VertexSet) -> Graph:
     u, v = e
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
-    return Graph(10, tuple(rows))
+    return _trusted(10, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

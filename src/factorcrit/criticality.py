@@ -11,44 +11,21 @@ reported witnesses are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
+from .enumeration import SplitMix64
 from .graphs import (
     Edge,
     Graph,
     GraphError,
     VertexSet,
-    bits,
+    _components_masked,
+    _k_subsets_ascending,
     delete_edge,
     is_k_connected,
     is_k_edge_connected,
     normalize_edge,
 )
 from .matching import _has_pm
-
-
-def _k_subsets_ascending(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of 0..n-1 as bitmasks, in ascending numeric order."""
-    if k == 0:
-        yield 0
-        return
-    if k > n:
-        return
-    m = (1 << k) - 1
-    top = 1 << n
-    while m < top:
-        yield m
-        low = m & -m
-        ripple = m + low
-        m = (((ripple ^ m) >> 2) // low) | ripple
-
-
-def _spread(mask: int, positions: list[int]) -> int:
-    """Map bit i of ``mask`` to bit positions[i]; positions ascending."""
-    out = 0
-    for i in bits(mask):
-        out |= 1 << positions[i]
-    return out
 
 
 def _first_failing_subset(g: Graph, k: int) -> int | None:
@@ -86,27 +63,9 @@ def is_k_factor_critical_via_odd_components(g: Graph, k: int) -> bool:
         size = b.bit_count()
         if size < k:
             continue
-        allowed = size - k
-        odd = 0
-        rem = full & ~b
-        while rem:
-            start = rem & -rem
-            comp = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    vb = f & -f
-                    f ^= vb
-                    nxt |= adj[vb.bit_length() - 1]
-                frontier = nxt & rem & ~comp
-                comp |= frontier
-            rem &= ~comp
-            if comp.bit_count() & 1:
-                odd += 1
-                if odd > allowed:
-                    return False
+        comps = _components_masked(adj, full & ~b)
+        if sum(c.bit_count() & 1 for c in comps) > size - k:
+            return False
     return True
 
 
@@ -177,35 +136,6 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
 # minimalization
 # ---------------------------------------------------------------------------
 
-_M64 = (1 << 64) - 1
-
-
-class SplitMix64:
-    """Tiny named PRNG; bit-reproducible from its 64-bit seed."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _M64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _M64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        # rejection sampling keeps the draw unbiased
-        limit = _M64 - (_M64 + 1) % bound
-        while True:
-            u = self.next_u64()
-            if u <= limit:
-                return u % bound
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
 
 def _edge_deletable(g: Graph, k: int, e: Edge) -> bool:
     return _first_failing_subset(delete_edge(g, e), k) is None
@@ -214,9 +144,11 @@ def _edge_deletable(g: Graph, k: int, e: Edge) -> bool:
 def minimalize(g: Graph, k: int, seed: int) -> Graph:
     """Delete deletable edges until none remain; the result is minimal k-FC.
 
-    Edges are scanned in a seed-determined fixed shuffle of the input's edge
-    list, and the scan restarts from the top after every deletion (edge
-    deletability is not monotone). Deterministic given (g, k, seed).
+    Edges are tried once each, in a seed-determined shuffle of the input's
+    edge list. One pass suffices because deletability is monotone: when
+    G - e is not k-FC, no spanning subgraph of it is, so an edge refused
+    once stays undeletable after later deletions. Deterministic given
+    (g, k, seed).
     """
     ok, _ = is_k_factor_critical(g, k)
     if not ok:
@@ -224,16 +156,9 @@ def minimalize(g: Graph, k: int, seed: int) -> Graph:
     order = g.edges()
     SplitMix64(seed).shuffle(order)
     current = g
-    progress = True
-    while progress:
-        progress = False
-        for e in order:
-            if not current.has_edge(*e):
-                continue
-            if _edge_deletable(current, k, e):
-                current = delete_edge(current, e)
-                progress = True
-                break
+    for e in order:
+        if _edge_deletable(current, k, e):
+            current = delete_edge(current, e)
     return current
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, VertexSet, bits, _components_masked
+from .graphs import Graph, GraphError, VertexSet, _components_masked, _k_subsets_ascending, bits
 from .matching import _has_pm, _matching_size
 
 
@@ -73,9 +73,9 @@ def gallai_edmonds(g: Graph) -> GEDecomposition:
 
 @dataclass(frozen=True)
 class ComponentInfo:
+    """One component of G - X; in a witness it is odd and factor-critical."""
+
     vertices: VertexSet
-    odd: bool
-    factor_critical: bool
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,6 @@ class BarrierWitness:
 
     x: VertexSet
     components: tuple[ComponentInfo, ...]
-
-    def odd_component_count(self) -> int:
-        return sum(1 for c in self.components if c.odd)
 
 
 def _witness_for(
@@ -98,7 +95,7 @@ def _witness_for(
 ) -> BarrierWitness | None:
     """Build the witness for X if all components of G - X are factor-critical
     and there are at least |X| + 2 of them; otherwise None."""
-    comps = _components_masked(n, adj, full & ~x)
+    comps = _components_masked(adj, full & ~x)
     if len(comps) < x.bit_count() + 2:
         return None
     infos = []
@@ -111,7 +108,7 @@ def _witness_for(
             fc_cache[comp] = fc
         if not fc:
             return None
-        infos.append(ComponentInfo(vertices=comp, odd=True, factor_critical=True))
+        infos.append(ComponentInfo(vertices=comp))
     return BarrierWitness(x=x, components=tuple(infos))
 
 
@@ -133,13 +130,10 @@ def find_barrier_witnesses(g: Graph, max_x: int) -> list[BarrierWitness]:
         raise GraphError("graph has a perfect matching; no barrier witness exists")
     n, adj, full = g.n, g.adj, g.vertex_mask
     fc_cache: dict[int, bool] = {}
-    masks = sorted(
-        (m for m in range(1 << n) if m.bit_count() <= max_x),
-        key=lambda m: (m.bit_count(), m),
-    )
     out = []
-    for x in masks:
-        w = _witness_for(n, adj, full, x, fc_cache)
-        if w is not None:
-            out.append(w)
+    for size in range(max_x + 1):
+        for x in _k_subsets_ascending(n, size):
+            w = _witness_for(n, adj, full, x, fc_cache)
+            if w is not None:
+                out.append(w)
     return out

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .criticality import SplitMix64
-from .graphs import Graph, Graph6Error, GraphError, parse_graph6
+from .graphs import Graph, Graph6Error, GraphError, _encode_columns, _trusted, parse_graph6
 
 
 @dataclass(frozen=True)
@@ -79,29 +78,6 @@ def _minimal_columns(n: int, adj: tuple[int, ...]) -> list[int]:
     dfs(0, False, [], [0] * n, list(range(n)))
     assert best is not None
     return best
-
-
-def _encode_columns(n: int, cols: list[int]) -> bytes:
-    """graph6 line for the column values, high column bit first."""
-    if n <= 62:
-        prefix = [n + 63]
-    else:
-        prefix = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    out = list(prefix)
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        col = cols[j - 1]
-        for shift in range(j - 1, -1, -1):
-            acc = (acc << 1) | (col >> shift & 1)
-            filled += 1
-            if filled == 6:
-                out.append(acc + 63)
-                acc = 0
-                filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return bytes(out)
 
 
 def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
@@ -182,7 +158,7 @@ def _representatives(n: int) -> tuple[Graph, ...]:
     if n < 1:
         raise GraphError("generation starts at order 1")
     if n == 1:
-        return (Graph(1, (0,)),)
+        return (_trusted(1, (0,)),)
 
     out: list[Graph] = []
     for parent in _representatives(n - 1):
@@ -209,7 +185,7 @@ def _representatives(n: int) -> tuple[Graph, ...]:
             child_reps.extend(seen.values())
         for rows in child_reps:
             if _parent_is_canonical(n, rows, pdeg, pform):
-                out.append(Graph(n, rows))
+                out.append(_trusted(n, rows))
     return tuple(out)
 
 
@@ -226,6 +202,35 @@ def all_graphs(n: int) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 # random graphs
 # ---------------------------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """Tiny named PRNG; bit-reproducible from its 64-bit seed."""
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _M64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _M64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        # rejection sampling keeps the draw unbiased
+        limit = _M64 - (_M64 + 1) % bound
+        while True:
+            u = self.next_u64()
+            if u <= limit:
+                return u % bound
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -247,7 +252,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
             if rng.next_u64() < threshold:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return _trusted(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ set iff vertex ``v`` belongs to the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -47,14 +46,33 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _k_subsets_ascending(n: int, k: int) -> Iterator[int]:
+    """All k-subsets of 0..n-1 as bitmasks, in ascending numeric order."""
+    if k == 0:
+        yield 0
+        return
+    if k > n:
+        return
+    m = (1 << k) - 1
+    top = 1 << n
+    while m < top:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = (((ripple ^ m) >> 2) // low) | ripple
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with adjacency bitmasks.
 
-    ``adj[v]`` holds the neighbor set of ``v``. Instances are immutable and
-    validated on construction: adjacency must be symmetric, irreflexive, and
-    confined to bits below ``n``. The empty graph (``n == 0``) is permitted so
-    that vertex deletion stays total.
+    ``adj[v]`` holds the neighbor set of ``v``. Instances are immutable.
+    Direct construction validates: adjacency must be symmetric, irreflexive,
+    and confined to bits below ``n``. :func:`parse_graph6` and
+    :func:`graph_from_edges` check their own input instead; every graph the
+    package derives from a valid one (deletions, additions, generators) is
+    symmetric by construction and skips the check. The empty graph
+    (``n == 0``) is permitted so that vertex deletion stays total.
     """
 
     n: int
@@ -102,6 +120,14 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph from adjacency that is valid by construction; no checks."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
     if not 1 <= n <= MAX_VERTICES:
@@ -114,12 +140,14 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _trusted(n, tuple(rows))
 
 
 def complete_graph(n: int) -> Graph:
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return _trusted(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -189,31 +217,39 @@ def parse_graph6(text: str | bytes) -> Graph:
         pad = body[-1] & ((1 << (6 - nbits % 6)) - 1)
         if pad:
             raise Graph6Error("nonzero padding bits in graph6 payload")
-    return Graph(n, tuple(rows))
+    return _trusted(n, tuple(rows))
+
+
+def _encode_columns(n: int, cols: list[int]) -> bytes:
+    """graph6 line for the upper-triangle columns 1..n-1.
+
+    Column j holds x(0,j), ..., x(j-1,j) in j bits, x(0,j) in the highest.
+    """
+    if n <= 62:
+        out = [n + 63]
+    else:
+        out = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    acc = 0
+    for j, col in enumerate(cols, start=1):
+        acc = acc << j | col
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    acc <<= pad
+    for shift in range(nbits + pad - 6, -1, -6):
+        out.append((acc >> shift & 63) + 63)
+    return bytes(out)
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 line (no trailing newline)."""
-    n = g.n
-    if n <= 62:
-        prefix = chr(n + 63)
-    else:
-        prefix = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    groups = []
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.adj[j]
+    cols = []
+    for j in range(1, g.n):
+        row = g.adj[j]
+        col = 0
         for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                groups.append(chr(acc + 63))
-                acc = 0
-                filled = 0
-    if filled:
-        groups.append(chr((acc << (6 - filled)) + 63))
-    return prefix + "".join(groups)
+            col = col << 1 | (row >> i & 1)
+        cols.append(col)
+    return _encode_columns(g.n, cols).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +300,7 @@ def delete_vertices_with_map(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, i
         for w in bits(g.adj[o] & keep):
             row |= 1 << remap[w]
         rows.append(row)
-    return Graph(len(old), tuple(rows)), remap
+    return _trusted(len(old), tuple(rows)), remap
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
@@ -274,7 +310,7 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     rows = list(g.adj)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    return Graph(g.n, tuple(rows))
+    return _trusted(g.n, tuple(rows))
 
 
 def add_edge(g: Graph, e: tuple[int, int]) -> Graph:
@@ -286,7 +322,7 @@ def add_edge(g: Graph, e: tuple[int, int]) -> Graph:
     rows = list(g.adj)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
+    return _trusted(g.n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +330,7 @@ def add_edge(g: Graph, e: tuple[int, int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _components_masked(n: int, adj: tuple[int, ...], sub: int) -> list[int]:
+def _components_masked(adj: tuple[int, ...], sub: int) -> list[int]:
     """Connected components of the induced subgraph on ``sub``.
 
     Ordered by smallest contained vertex.
@@ -319,28 +355,8 @@ def _components_masked(n: int, adj: tuple[int, ...], sub: int) -> list[int]:
     return comps
 
 
-def _is_connected_masked(n: int, adj: tuple[int, ...], sub: int) -> bool:
-    if sub == 0:
-        return True
-    start = sub & -sub
-    comp = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & sub & ~comp
-        comp |= frontier
-    return comp == sub
-
-
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return _is_connected_masked(g.n, g.adj, g.vertex_mask)
+    return len(_components_masked(g.adj, g.vertex_mask)) <= 1
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -356,9 +372,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     full = g.vertex_mask
     for size in range(k):
-        for cut in combinations(range(n), size):
-            rest = full & ~mask_of(cut)
-            if not _is_connected_masked(n, g.adj, rest):
+        for cut in _k_subsets_ascending(n, size):
+            if len(_components_masked(g.adj, full & ~cut)) > 1:
                 return False
     return True
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, GraphError, VertexSet, bits, _components_masked
+from .graphs import Edge, Graph, GraphError, VertexSet, _components_masked, bits, delete_edge
 
 
 @dataclass(frozen=True)
@@ -240,15 +240,8 @@ def every_perfect_matching_contains(g: Graph, e: tuple[int, int]) -> bool:
     Decided by two matching calls: a perfect matching must exist, and none
     may survive the removal of ``e``.
     """
-    u, v = e if e[0] < e[1] else (e[1], e[0])
-    if not g.has_edge(u, v):
-        raise GraphError(f"edge ({u},{v}) not present")
-    if not has_perfect_matching(g):
-        return False
-    rows = list(g.adj)
-    rows[u] ^= 1 << v
-    rows[v] ^= 1 << u
-    return not _has_pm(g.n, tuple(rows), g.vertex_mask)
+    without = delete_edge(g, e)
+    return has_perfect_matching(g) and not has_perfect_matching(without)
 
 
 # ---------------------------------------------------------------------------
@@ -260,5 +253,5 @@ def odd_components(g: Graph, x: VertexSet) -> tuple[int, list[VertexSet]]:
     """Odd-order components of g - x, ordered by smallest original label."""
     if x & ~g.vertex_mask:
         raise GraphError("removal set contains vertices outside the graph")
-    comps = [c for c in _components_masked(g.n, g.adj, g.vertex_mask & ~x) if c.bit_count() % 2]
+    comps = [c for c in _components_masked(g.adj, g.vertex_mask & ~x) if c.bit_count() % 2]
     return len(comps), comps

@@ -65,18 +65,31 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 
 
 @pytest.fixture(scope="session")
+def build_seconds() -> dict[str, float]:
+    """Seconds each expensive session fixture took to build, by fixture name.
+
+    The first criterion that needs the artifact adds them to its elapsed time.
+    """
+    return {}
+
+
+@pytest.fixture(scope="session")
 def reps7():
     return {n: tuple(all_graphs(n)) for n in range(1, 8)}
 
 
 @pytest.fixture(scope="session")
-def reps8(reps7):
-    return reps7 | {8: tuple(all_graphs(8))}
+def reps8(reps7, build_seconds):
+    t0 = time.monotonic()
+    reps = reps7 | {8: tuple(all_graphs(8))}
+    build_seconds["reps8"] = time.monotonic() - t0
+    return reps
 
 
 @pytest.fixture(scope="session")
-def sweep_runs(reps8):
+def sweep_runs(reps8, build_seconds):
     """Criterion 3 CLI runs, shared with criteria 8 and 9."""
+    t0 = time.monotonic()
     runs = {}
     for n, k in SWEEP_PAIRS:
         code, out, err = run_cli(
@@ -84,17 +97,20 @@ def sweep_runs(reps8):
         )
         records = [json.loads(line) for line in out.splitlines()]
         runs[(n, k)] = (code, records, err)
+    build_seconds["sweep_runs"] = time.monotonic() - t0
     return runs
 
 
 @pytest.fixture(scope="session")
-def sample_run():
+def sample_run(build_seconds):
     """Criterion 4 CLI run, shared with criterion 9."""
+    t0 = time.monotonic()
     code, out, err = run_cli(
         "verify", "--n", "12", "--k", "2", "--source", "sample",
         "--samples", str(SAMPLE_COUNT), "--seed", "0", "--format", "json",
     )
     records = [json.loads(line) for line in out.splitlines()]
+    build_seconds["sample_run"] = time.monotonic() - t0
     return code, records, err
 
 
@@ -121,7 +137,7 @@ def test_criterion_01_matching_oracle(reps7):
     )
 
 
-def test_criterion_02_odd_component_equivalence(reps8):
+def test_criterion_02_odd_component_equivalence(reps8, build_seconds):
     """Subset-sweep test agrees with the definition-level k-factor-critical
     test for every graph with n <= 8 and every k of matching parity; < 10 min."""
     t0 = time.monotonic()
@@ -134,7 +150,7 @@ def test_criterion_02_odd_component_equivalence(reps8):
                 direct, _ = is_k_factor_critical(g, k)
                 if direct != is_k_factor_critical_via_odd_components(g, k):
                     mismatches += 1
-    elapsed = time.monotonic() - t0
+    elapsed = time.monotonic() - t0 + build_seconds["reps8"]
     report(
         2, "odd-component-sweep-equivalence",
         mismatches == 0 and elapsed < 600,
@@ -142,7 +158,7 @@ def test_criterion_02_odd_component_equivalence(reps8):
     )
 
 
-def test_criterion_03_exhaustive_minimum_degree(sweep_runs):
+def test_criterion_03_exhaustive_minimum_degree(sweep_runs, build_seconds):
     """Exhaustive sweeps find zero counterexamples to minimum degree k+1
     among minimal k-factor-critical graphs for the nine (n, k) pairs,
     exit code 0 each; < 15 min total."""
@@ -156,7 +172,7 @@ def test_criterion_03_exhaustive_minimum_degree(sweep_runs):
                 problems.append(f"({n},{k}) counterexample {rec['graph6']}")
         if "failures=0" not in err:
             problems.append(f"({n},{k}) summary reported failures")
-    elapsed = time.monotonic() - t0
+    elapsed = time.monotonic() - t0 + build_seconds["sweep_runs"]
     report(
         3, "exhaustive-minimum-degree-sweeps",
         not problems and elapsed < 900,
@@ -164,7 +180,7 @@ def test_criterion_03_exhaustive_minimum_degree(sweep_runs):
     )
 
 
-def test_criterion_04_sampled_order_12(sample_run):
+def test_criterion_04_sampled_order_12(sample_run, build_seconds):
     """At n = 12, k = 2: at least 1000 seeded dense starts minimalized, every
     minimal instance has minimum degree 3; zero counterexamples; < 30 min."""
     t0 = time.monotonic()
@@ -178,7 +194,7 @@ def test_criterion_04_sampled_order_12(sample_run):
         spot_checked += 1
         if not (rep.is_kfc and rep.is_minimal):
             bad.append(rec)
-    elapsed = time.monotonic() - t0
+    elapsed = time.monotonic() - t0 + build_seconds["sample_run"]
     report(
         4, "sampled-order-12-minimum-degree",
         code == 0 and minimal_count >= 1000 and not bad and elapsed < 1800,

@@ -99,7 +99,7 @@ class TestGallaiEdmonds:
             # matching size formula via component count of G[D]
             from factorcrit.graphs import _components_masked
 
-            c_d = len(_components_masked(g.n, g.adj, ge.d))
+            c_d = len(_components_masked(g.adj, ge.d))
             size = (g.n - deficiency(g)) // 2
             assert size == (g.n - c_d + ge.a.bit_count()) // 2
 
@@ -137,7 +137,7 @@ class TestBarrierWitnesses:
             count, comps = odd_components(g, w.x)
             assert count == len(w.components) >= w.x.bit_count() + 2
             for info in w.components:
-                assert info.odd and info.factor_critical
+                assert info.vertices.bit_count() % 2 == 1
                 sub = delete_vertices(g, g.vertex_mask & ~info.vertices)
                 assert is_factor_critical(sub)
 

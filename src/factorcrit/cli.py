@@ -13,7 +13,6 @@ in the optional append-only run log.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -365,6 +364,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if rec.verdict == "fail":
                 print(f"counterexample: {rec.graph6}", file=sys.stderr)
     if args.log:
+        import hashlib  # loads OpenSSL (about 3.7 MB of RSS); only the run log needs it
+
         if args.source.startswith("file:"):
             with open(args.source[len("file:"):], "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()

@@ -51,10 +51,12 @@ from .decomp import (
 from .criticality import (
     CriticalityReport,
     MinimalityCertificate,
+    NotKFactorCriticalError,
     check_connectivity_properties,
     is_k_factor_critical,
     is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
+    kfc_and_minimal,
     minimality_certificate,
     minimalize,
 )

@@ -23,10 +23,10 @@ from typing import Iterable, TextIO
 
 from .configurations import ClassificationError, classify
 from .criticality import (
+    NotKFactorCriticalError,
     check_connectivity_properties,
-    is_k_factor_critical,
     is_minimal_kfc,
-    minimality_certificate,
+    kfc_and_minimal,
     minimalize,
 )
 from .decomp import gallai_edmonds
@@ -83,14 +83,6 @@ class VerifySummary:
     records: list[VerificationRecord]
 
 
-def _quick_minimal(g: Graph, k: int) -> bool:
-    """Minimality with early exit: stop at the first deletable edge."""
-    for e in g.edges():
-        if minimality_certificate(g, k, e) is None:
-            return False
-    return True
-
-
 def _record_for(g: Graph, k: int, minimal: bool) -> VerificationRecord:
     dmin = min_degree(g)
     ok = (not minimal) or dmin == k + 1
@@ -103,19 +95,17 @@ def _record_for(g: Graph, k: int, minimal: bool) -> VerificationRecord:
 
 def _scan_worker(task: tuple[Graph, int]) -> VerificationRecord | None:
     g, k = task
-    ok, _ = is_k_factor_critical(g, k)
-    if not ok:
-        return None
-    return _record_for(g, k, _quick_minimal(g, k))
+    kfc, minimal = kfc_and_minimal(g, k)
+    return _record_for(g, k, minimal) if kfc else None
 
 
 def _sample_worker(task: tuple[int, float, int, int]) -> VerificationRecord | None:
     n, p, k, seed = task
     g = random_graph(n, p, seed)
-    ok, _ = is_k_factor_critical(g, k)
-    if not ok:
+    try:
+        m = minimalize(g, k, seed)
+    except NotKFactorCriticalError:
         return None
-    m = minimalize(g, k, seed)
     return _record_for(m, k, True)
 
 
@@ -150,6 +140,10 @@ def verify_scan(
         raise GraphError(f"n + k must be even, got n={n}, k={k}")
     if not 0 <= k < n:
         raise GraphError(f"k={k} outside 0..{n - 1}")
+    if samples < 1:
+        raise GraphError(f"samples={samples} must be at least 1")
+    if jobs < 1:
+        raise GraphError(f"jobs={jobs} must be at least 1")
 
     if source == "sample":
         tasks = [(n, p, k, seed + i) for i in range(samples)]
@@ -378,11 +372,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_minimalize(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    ok, _ = is_k_factor_critical(g, args.k)
-    if not ok:
+    try:
+        m = minimalize(g, args.k, args.seed)
+    except NotKFactorCriticalError:
         print("input graph is not k-factor-critical", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
-    print(to_graph6(minimalize(g, args.k, args.seed)))
+    print(to_graph6(m))
     return EXIT_OK
 
 

@@ -6,6 +6,15 @@ preserves that. For each undeletable edge e = uv there is a certificate: a
 k-set S_e avoiding u and v such that every perfect matching of G - S_e uses
 e. All subset sweeps run in ascending-bitmask (colexicographic) order so
 reported witnesses are canonical.
+
+Edge tests do not sweep G - e again. One sweep of G keeps a perfect
+matching of G - S for every k-set S (:class:`_Witnesses`). Deleting uv
+breaks only the matchings that use uv, and with uv dropped u and v are the
+only exposed vertices, so one augmenting search from u either repairs such
+a matching or proves that G - uv - S has none (Berge's theorem). Every other
+S keeps its matching. The broken matchings are repaired in ascending order
+of S, so the first one that cannot be repaired is the lowest failing k-set
+of G - uv: the certificate a full sweep of G - uv would report.
 """
 
 from __future__ import annotations
@@ -20,22 +29,84 @@ from .graphs import (
     VertexSet,
     _components_masked,
     _k_subsets_ascending,
-    delete_edge,
+    _trusted,
     is_k_connected,
     is_k_edge_connected,
     normalize_edge,
 )
-from .matching import _has_pm
+from .matching import _find_augmenting, _match_array
 
 
-def _first_failing_subset(g: Graph, k: int) -> int | None:
+class NotKFactorCriticalError(GraphError):
+    """The input graph is not k-factor-critical, as minimalization and
+    minimality certificates require."""
+
+
+def _check_k(g: Graph, k: int) -> None:
+    if not 0 <= k < g.n:
+        raise GraphError(f"k={k} outside 0..{g.n - 1}")
+
+
+def _first_failing_subset(
+    g: Graph, k: int, witnesses: list[tuple[int, list[int]]] | None = None,
+) -> int | None:
     """First k-subset (ascending mask) whose removal leaves no perfect
-    matching, or None when the graph is k-factor-critical."""
+    matching, or None when the graph is k-factor-critical.
+
+    ``witnesses``, when given, receives (S, match array) with a perfect
+    matching of G - S for every k-set S below the first failing one.
+    """
     n, adj, full = g.n, g.adj, g.vertex_mask
     for s in _k_subsets_ascending(n, k):
-        if not _has_pm(n, adj, full & ~s):
+        sub = full & ~s
+        match = None if sub.bit_count() % 2 else _match_array(n, adj, sub, stop_on_exposed=True)
+        if match is None:
             return s
+        if witnesses is not None:
+            witnesses.append((s, match))
     return None
+
+
+class _Witnesses:
+    """A graph under edge deletion with one perfect matching of G - S per
+    k-set S. ``failing`` is the input's first failing k-set; the edge tests
+    are valid only when it is None, and then the table holds every k-set."""
+
+    def __init__(self, g: Graph, k: int) -> None:
+        _check_k(g, k)
+        self.n, self.full, self.adj = g.n, g.vertex_mask, list(g.adj)
+        self.table: list[tuple[int, list[int]]] = []
+        self.failing = _first_failing_subset(g, k, self.table)
+
+    def failing_without(self, u: int, v: int, commit: bool = False) -> int | None:
+        """Lowest k-set S such that G - uv - S has no perfect matching, or
+        None when G - uv is still k-FC.
+
+        Only the matchings that use uv are searched again, in ascending order
+        of S. With ``commit``, a None result deletes uv and keeps the
+        repaired matchings.
+        """
+        n, full = self.n, self.full
+        adj = self.adj.copy()
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        repaired = []
+        for i, (s, match) in enumerate(self.table):
+            if match[u] != v:
+                continue
+            m = match.copy()
+            m[u] = m[v] = -1
+            if not _find_augmenting(n, adj, full & ~s, m, u):
+                return s
+            repaired.append((i, s, m))
+        if commit:
+            self.adj = adj
+            for i, s, m in repaired:
+                self.table[i] = (s, m)
+        return None
+
+    def graph(self) -> Graph:
+        return _trusted(self.n, tuple(self.adj))
 
 
 def is_k_factor_critical(g: Graph, k: int) -> tuple[bool, VertexSet | None]:
@@ -43,8 +114,7 @@ def is_k_factor_critical(g: Graph, k: int) -> tuple[bool, VertexSet | None]:
 
     False immediately when n + k is odd.
     """
-    if not 0 <= k < g.n:
-        raise GraphError(f"k={k} outside 0..{g.n - 1}")
+    _check_k(g, k)
     if (g.n + k) % 2:
         return False, None
     failing = _first_failing_subset(g, k)
@@ -55,8 +125,7 @@ def is_k_factor_critical_via_odd_components(g: Graph, k: int) -> bool:
     """Oracle path: C_o(G-B) <= |B| - k for every B with |B| >= k (n <= 10)."""
     if g.n > 10:
         raise GraphError("odd-component sweep limited to n <= 10")
-    if not 0 <= k < g.n:
-        raise GraphError(f"k={k} outside 0..{g.n - 1}")
+    _check_k(g, k)
     adj = g.adj
     full = g.vertex_mask
     for b in range(1 << g.n):
@@ -95,11 +164,16 @@ def minimality_certificate(g: Graph, k: int, e: tuple[int, int]) -> MinimalityCe
     (G - e) - S; such an S automatically avoids both endpoints, and since G
     itself is k-FC, G - S has a perfect matching that must use e. Absent
     exactly when G - e is still k-factor-critical.
+
+    Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """
     u, v = normalize_edge(*e)
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not present")
-    failing = _first_failing_subset(delete_edge(g, (u, v)), k)
+    w = _Witnesses(g, k)
+    if w.failing is not None:
+        raise NotKFactorCriticalError("minimality certificates require a k-factor-critical graph")
+    failing = w.failing_without(u, v)
     if failing is None:
         return None
     assert failing & ((1 << u) | (1 << v)) == 0
@@ -110,26 +184,37 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
     """Full minimality report: k-FC test plus one certificate per edge.
 
     Edges without a certificate are exactly the deletable ones (G - e stays
-    k-FC); the graph is minimal iff there are none.
+    k-FC); the graph is minimal iff there are none. One sweep serves the
+    k-FC test and every edge.
     """
-    ok, failing = is_k_factor_critical(g, k)
-    if not ok:
+    w = _Witnesses(g, k)
+    if w.failing is not None:
         return CriticalityReport(
-            k=k, is_kfc=False, is_minimal=False, failing_set=failing,
+            k=k, is_kfc=False, is_minimal=False,
+            failing_set=None if (g.n + k) % 2 else w.failing,
             certificates=(), deletable_edges=(),
         )
     certs = []
     deletable = []
     for e in g.edges():
-        cert = minimality_certificate(g, k, e)
-        if cert is None:
+        s_e = w.failing_without(*e)
+        if s_e is None:
             deletable.append(e)
         else:
-            certs.append(cert)
+            certs.append(MinimalityCertificate(edge=e, s_e=s_e))
     return CriticalityReport(
         k=k, is_kfc=True, is_minimal=not deletable, failing_set=None,
         certificates=tuple(certs), deletable_edges=tuple(deletable),
     )
+
+
+def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
+    """(k-factor-critical, minimal) from one sweep, without certificates:
+    the edge tests stop at the first deletable edge."""
+    w = _Witnesses(g, k)
+    if w.failing is not None:
+        return False, False
+    return True, all(w.failing_without(*e) is not None for e in g.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +222,9 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
 # ---------------------------------------------------------------------------
 
 
-def _edge_deletable(g: Graph, k: int, e: Edge) -> bool:
-    return _first_failing_subset(delete_edge(g, e), k) is None
+def _edge_deletable(w: _Witnesses, e: Edge) -> bool:
+    """Delete ``e`` from ``w`` when the graph stays k-FC without it."""
+    return w.failing_without(*e, commit=True) is None
 
 
 def minimalize(g: Graph, k: int, seed: int) -> Graph:
@@ -147,19 +233,24 @@ def minimalize(g: Graph, k: int, seed: int) -> Graph:
     Edges are tried once each, in a seed-determined shuffle of the input's
     edge list. One pass suffices because deletability is monotone: when
     G - e is not k-FC, no spanning subgraph of it is, so an edge refused
-    once stays undeletable after later deletions. Deterministic given
-    (g, k, seed).
+    once stays undeletable after later deletions. Each test repairs, in
+    ascending order of S, only the kept perfect matchings of G - S that use
+    the edge (see the module docstring). The first S that cannot be repaired
+    is the lowest failing k-set of G - e, so the test decides exactly what a
+    full sweep of G - e decides, and certificates stay canonical. A
+    deletion and its repaired matchings are committed only when every repair
+    succeeds. Deterministic given (g, k, seed).
+
+    Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """
-    ok, _ = is_k_factor_critical(g, k)
-    if not ok:
-        raise GraphError("minimalize requires a k-factor-critical input")
+    w = _Witnesses(g, k)
+    if w.failing is not None:
+        raise NotKFactorCriticalError("minimalize requires a k-factor-critical input")
     order = g.edges()
     SplitMix64(seed).shuffle(order)
-    current = g
     for e in order:
-        if _edge_deletable(current, k, e):
-            current = delete_edge(current, e)
-    return current
+        _edge_deletable(w, e)
+    return w.graph()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from factorcrit import complete_graph, cycle_graph, parse_graph6, to_graph6
 from factorcrit.cli import main
 from conftest import disjoint_cliques
@@ -138,6 +140,22 @@ class TestVerify:
     def test_oversize_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "9", "--k", "1", "--source", "all")
         assert code == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_exit_2(self, capsys, samples):
+        code, out, err = run(
+            capsys, "verify", "--n", "12", "--k", "2", "--source", "sample", "--samples", samples
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: samples={samples} must be at least 1\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_exit_2(self, capsys, jobs):
+        code, out, err = run(
+            capsys, "verify", "--n", "4", "--k", "2", "--source", "all", "--jobs", jobs
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: jobs={jobs} must be at least 1\n"
 
     def test_file_source(self, capsys, tmp_path):
         path = tmp_path / "graphs.g6"

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcrit import (
+    Graph,
     GraphError,
+    NotKFactorCriticalError,
     SplitMix64,
     all_perfect_matchings,
     brute_force_max_matching,
@@ -16,12 +22,14 @@ from factorcrit import (
     is_k_factor_critical,
     is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
+    kfc_and_minimal,
     mask_of,
     min_degree,
     minimality_certificate,
     minimalize,
     random_graph,
 )
+from factorcrit.criticality import _edge_deletable, _Witnesses
 from conftest import disjoint_cliques, petersen
 
 
@@ -110,6 +118,12 @@ class TestCertificates:
         with pytest.raises(GraphError):
             minimality_certificate(cycle_graph(5), 1, (0, 2))
 
+    @pytest.mark.parametrize("k, e", [(1, (0, 1)), (1, (2, 3)), (2, (0, 1))])
+    def test_non_kfc_rejected(self, k, e):
+        # C6 is neither 1-FC (parity) nor 2-FC; a set failing in G proves nothing about e
+        with pytest.raises(NotKFactorCriticalError):
+            minimality_certificate(cycle_graph(6), k, e)
+
     def test_soundness_against_enumeration(self):
         rep = is_minimal_kfc(complete_graph(4), 2)
         for cert in rep.certificates + (minimality_certificate(cycle_graph(5), 1, (1, 2)),):
@@ -166,8 +180,117 @@ class TestMinimalize:
             assert g.has_edge(u, v)
 
     def test_rejects_non_kfc(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(NotKFactorCriticalError, match="requires a k-factor-critical input"):
             minimalize(cycle_graph(6), 2, 0)
+
+    def test_rejects_k_out_of_range(self):
+        with pytest.raises(GraphError) as info:
+            minimalize(cycle_graph(6), 6, 0)
+        assert not isinstance(info.value, NotKFactorCriticalError)
+
+
+# ---------------------------------------------------------------------------
+# witness repair against recomputation by brute force
+# ---------------------------------------------------------------------------
+
+
+def _oracle_failing(g: Graph, k: int) -> int | None:
+    """Lowest k-set S (ascending mask) such that g - S has no perfect
+    matching, by brute-force matching on every g - S."""
+    for s in sorted(mask_of(c) for c in combinations(range(g.n), k)):
+        if 2 * brute_force_max_matching(delete_vertices(g, s)) != g.n - k:
+            return s
+    return None
+
+
+def _oracle_minimalize(g: Graph, k: int, seed: int) -> Graph:
+    """One pass over the shuffled edges, each deletion decided by brute force."""
+    order = g.edges()
+    SplitMix64(seed).shuffle(order)
+    current = g
+    for e in order:
+        smaller = delete_edge(current, e)
+        if _oracle_failing(smaller, k) is None:
+            current = smaller
+    return current
+
+
+@st.composite
+def dense_cases(draw) -> tuple[Graph, int]:
+    """(g, k) with n <= 12, k <= 4 and n + k even; g is K_n minus a drawn
+    set of edges, so many cases are k-FC and shrinking moves towards K_n."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.sampled_from([k for k in range(5) if k < n and (n + k) % 2 == 0]))
+    pairs = list(combinations(range(n), 2))
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs) // 2))
+    return graph_from_edges(n, [e for e in pairs if e not in missing]), k
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestWitnessRepair:
+    @settings(max_examples=60, deadline=None)
+    @given(dense_cases(), SEEDS)
+    def test_minimalize_matches_oracle(self, case, seed):
+        g, k = case
+        if _oracle_failing(g, k) is not None:
+            with pytest.raises(NotKFactorCriticalError):
+                minimalize(g, k, seed)
+        else:
+            assert minimalize(g, k, seed) == _oracle_minimalize(g, k, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_cases(), SEEDS)
+    def test_certificates_are_lowest_failing_sets(self, case, seed):
+        g, k = case
+        rep = is_minimal_kfc(g, k)
+        assert rep.failing_set == _oracle_failing(g, k)
+        if not rep.is_kfc:
+            return
+        # dense inputs have few certificates; their minimalizations have one per edge
+        m = minimalize(g, k, seed)
+        for h, report in ((g, rep), (m, is_minimal_kfc(m, k))):
+            for cert in report.certificates:
+                assert cert.s_e == _oracle_failing(delete_edge(h, cert.edge), k)
+                assert minimality_certificate(h, k, cert.edge) == cert
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_cases())
+    def test_deletable_edges_are_exact(self, case):
+        g, k = case
+        rep = is_minimal_kfc(g, k)
+        if not rep.is_kfc:
+            assert not rep.deletable_edges and kfc_and_minimal(g, k) == (False, False)
+            return
+        expected = tuple(e for e in g.edges() if _oracle_failing(delete_edge(g, e), k) is None)
+        assert rep.deletable_edges == expected
+        assert len(rep.certificates) + len(expected) == len(g.edges())
+        assert kfc_and_minimal(g, k) == (True, not expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_cases(), SEEDS)
+    def test_kept_matchings_stay_perfect(self, case, seed):
+        g, k = case
+        w = _Witnesses(g, k)
+        if w.failing is not None:
+            return
+        every_k_set = sorted(mask_of(c) for c in combinations(range(g.n), k))
+        order = g.edges()
+        SplitMix64(seed).shuffle(order)
+        for e in order:
+            if not _edge_deletable(w, e):
+                continue
+            current = w.graph()
+            assert [s for s, _ in w.table] == every_k_set
+            for s, match in w.table:
+                for v in range(g.n):
+                    if s >> v & 1:
+                        assert match[v] == -1
+                    else:
+                        u = match[v]
+                        assert u != -1 and not s >> u & 1
+                        assert match[u] == v and current.has_edge(u, v)
 
 
 class TestConnectivityProperties:

@@ -144,6 +144,8 @@ def verify_scan(
         raise GraphError(f"samples={samples} must be at least 1")
     if jobs < 1:
         raise GraphError(f"jobs={jobs} must be at least 1")
+    if not 0.0 <= p <= 1.0:
+        raise GraphError(f"edge probability {p} outside [0, 1]")
 
     if source == "sample":
         tasks = [(n, p, k, seed + i) for i in range(samples)]

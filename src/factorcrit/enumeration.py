@@ -1,10 +1,13 @@
 """Isomorph-free generation, canonical forms, and graph sources.
 
 Canonical forms come from a pruned search for the lexicographically minimal
-graph6 encoding over all relabelings; exhaustive generation extends the
-representatives of order n-1 by one vertex and keeps a child exactly when
-the parent it was built from is the child's canonical parent.
-"""
+graph6 encoding over all relabelings. Exhaustive generation extends each
+representative of order n-1, in order, by a new vertex n-1 attached to each
+subset of its vertices, and keeps a child exactly when the parent it was
+built from is its canonical parent: no one-vertex deletion of the child has
+a smaller (degree sequence, canonical form) key than that parent.
+``all_graphs`` states the resulting order, which the filters applied before
+dedupe do not change."""
 
 from __future__ import annotations
 
@@ -22,26 +25,31 @@ class CanonicalForm:
     encoding: bytes
 
 
-def _minimal_columns(n: int, adj: tuple[int, ...]) -> list[int]:
+def _minimal_columns(n: int, adj: tuple[int, ...], bound: list[int] | None = None) -> list[int] | None:
     """Minimal upper-triangle column values over all vertex orderings.
 
     Column j packs adjacency to the already-placed vertices, earliest
     placement in the highest bit, matching graph6 bit order. Branches are
     pruned against the best ordering found so far; candidates that are twins
     of an explored sibling are skipped (swapping twins is an automorphism).
+
+    With ``bound`` (the minimal columns of some graph H of order n), return
+    the columns of the first ordering found below it, or None if there is
+    none; an ordering equal to ``bound`` ends the search, since it shows
+    that the graph is isomorphic to H.
     """
-    best: list[int] | None = None
+    best = bound
     degs = [row.bit_count() for row in adj]
 
     # tight: the column prefix equals best's prefix (pruning applies);
     # otherwise it is strictly smaller, or best does not exist yet, and the
-    # leftmost completion below will replace best.
-    def dfs(depth: int, tight: bool, cols: list[int], colv: list[int], unplaced: list[int]) -> None:
+    # leftmost completion below will replace best. Returns True to stop.
+    def dfs(depth: int, tight: bool, cols: list[int], colv: list[int], unplaced: list[int]) -> bool:
         nonlocal best
         if not unplaced:
             if not tight:
                 best = cols.copy()
-            return
+            return bound is not None
         cands = sorted(((colv[u], degs[u], u) for u in unplaced))
         explored: list[int] = []
         for col, _, u in cands:
@@ -69,15 +77,16 @@ def _minimal_columns(n: int, adj: tuple[int, ...]) -> list[int]:
                 nxt[w] = (nxt[w] << 1) | (row >> w & 1)
             if depth:
                 cols.append(col)
-            dfs(depth + 1, child_tight, cols, nxt, rest)
+            if dfs(depth + 1, child_tight, cols, nxt, rest):
+                return True
             if depth:
                 cols.pop()
             if not tight:
                 tight = True  # best now extends this node's prefix
+        return False
 
-    dfs(0, False, [], [0] * n, list(range(n)))
-    assert best is not None
-    return best
+    dfs(0, bound is not None, [], [0] * n, list(range(n)))
+    return None if best is bound else best
 
 
 def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
@@ -137,16 +146,32 @@ def _delete_vertex_rows(n: int, adj: tuple[int, ...], v: int) -> tuple[int, ...]
     return tuple(rows)
 
 
-def _parent_is_canonical(n: int, child: tuple[int, ...], pdeg: tuple[int, ...], pform: bytes) -> bool:
-    """Whether the parent (with invariants pdeg/pform) is the child's
-    canonical parent: no single-vertex deletion reaches a class with a
-    smaller (degree sequence, canonical form) key."""
-    deletions = [_delete_vertex_rows(n, child, v) for v in range(n)]
-    degseqs = [_degree_sequence(rows) for rows in deletions]
-    if min(degseqs) < pdeg:
-        return False
-    for rows, ds in zip(deletions, degseqs):
-        if ds == pdeg and _canonical_bytes(n - 1, rows) < pform:
+def _deletion_below(key: tuple, pdeg: tuple[int, ...]) -> bool:
+    """Whether a one-vertex deletion of a graph with refinement key ``key``
+    has a degree sequence below ``pdeg``: degseq(G - v) is the degree
+    multiset less v's degree, with v's neighbours' degrees one lower."""
+    degs = [d for d, _ in key]
+    for d, nb in set(key):
+        rest = degs.copy()
+        for x in (d,) + nb:
+            rest.remove(x)
+        if tuple(sorted(rest + [x - 1 for x in nb])) < pdeg:
+            return True
+    return False
+
+
+def _parent_is_canonical(n: int, child: tuple[int, ...], pdeg: tuple[int, ...], pcols: list[int]) -> bool:
+    """Whether the parent (with degree sequence pdeg and minimal columns
+    pcols) that ``child`` was built from by adding vertex n - 1 is the
+    child's canonical parent: no single-vertex deletion reaches a class with
+    a smaller (degree sequence, canonical form) key. Deleting n - 1 gives
+    the parent back, so it is not tried."""
+    degs = [row.bit_count() for row in child]
+    for v in range(n - 1):
+        row = child[v]
+        ds = tuple(sorted(degs[w] - (row >> w & 1) for w in range(n) if w != v))
+        smaller = ds == pdeg and _minimal_columns(n - 1, _delete_vertex_rows(n, child, v), pcols) is not None
+        if ds < pdeg or smaller:
             return False
     return True
 
@@ -163,37 +188,47 @@ def _representatives(n: int) -> tuple[Graph, ...]:
     out: list[Graph] = []
     for parent in _representatives(n - 1):
         pdeg = _degree_sequence(parent.adj)
-        pform = _canonical_bytes(n - 1, parent.adj)
-        # bucket the children of this parent by a cheap invariant, then
-        # dedupe exact isomorphism duplicates inside colliding buckets only
+        pcols = _minimal_columns(n - 1, parent.adj)
+        # swapping twins u < w of the parent is an automorphism, so a child
+        # attached to w and not u is isomorphic to a smaller attachment in the
+        # same bucket; skipping it keeps the first-seen member of every class
+        twins = [(1 << u, 1 << w) for u in range(n - 1) for w in range(u + 1, n - 1)
+                 if parent.adj[u] & ~(1 << u | 1 << w) == parent.adj[w] & ~(1 << u | 1 << w)]
+        # bucket the children of this parent by a cheap invariant; the
+        # buckets' first-seen order is the output order
         buckets: dict[tuple, list[tuple[int, ...]]] = {}
         for attach in range(1 << (n - 1)):
+            if any(attach & wb and not attach & ub for ub, wb in twins):
+                continue
             rows = tuple(
                 row | ((attach >> v & 1) << (n - 1)) for v, row in enumerate(parent.adj)
             ) + (attach,)
             buckets.setdefault(_refinement_key(rows), []).append(rows)
-        child_reps: list[tuple[int, ...]] = []
-        for members in buckets.values():
-            if len(members) == 1:
-                child_reps.append(members[0])
+        for key, members in buckets.items():
+            # the degree test and the key are isomorphism invariants, so
+            # dropping a bucket keeps the first-seen member of every class
+            if _deletion_below(key, pdeg):
                 continue
-            seen: dict[bytes, tuple[int, ...]] = {}
-            for rows in members:
-                form = _canonical_bytes(n, rows)
-                if form not in seen:
-                    seen[form] = rows
-            child_reps.extend(seen.values())
-        for rows in child_reps:
-            if _parent_is_canonical(n, rows, pdeg, pform):
-                out.append(_trusted(n, rows))
+            if len(members) > 1:
+                seen: dict[bytes, tuple[int, ...]] = {}
+                for rows in members:
+                    seen.setdefault(_canonical_bytes(n, rows), rows)
+                members = list(seen.values())
+            out.extend(
+                _trusted(n, rows) for rows in members if _parent_is_canonical(n, rows, pdeg, pcols)
+            )
     return tuple(out)
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of order n (n <= 8).
 
-    Deterministic stream order: parents in generation order, then children
-    grouped by invariant bucket in first-seen order.
+    Deterministic stream order: parents in generation order; each parent's
+    children in the first-seen order of their refinement-key buckets over
+    attachments 0 .. 2^(n-1) - 1; within a bucket, classes in the order of
+    their first-seen member, which is the representative. A class is kept
+    under the parent whose (degree sequence, canonical form) key is the
+    smallest over the child's one-vertex deletions.
     """
     for g in _representatives(n):
         yield g

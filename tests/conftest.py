@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from factorcrit import Graph, all_graphs, graph_from_edges
@@ -31,3 +33,22 @@ def disjoint_cliques(sizes: list[int]) -> Graph:
 def graphs_by_order():
     """Isomorphism-class representatives for n = 1..7 (session cached)."""
     return {n: tuple(all_graphs(n)) for n in range(1, 8)}
+
+
+@pytest.fixture(scope="session")
+def build_seconds() -> dict[str, float]:
+    """Seconds each expensive session fixture took to build, by fixture name.
+
+    The first acceptance criterion that needs the artifact adds them to its
+    elapsed time.
+    """
+    return {}
+
+
+@pytest.fixture(scope="session")
+def reps8(graphs_by_order, build_seconds):
+    """Representatives for n = 1..8; the order-8 build time is recorded."""
+    t0 = time.monotonic()
+    reps = graphs_by_order | {8: tuple(all_graphs(8))}
+    build_seconds["reps8"] = time.monotonic() - t0
+    return reps

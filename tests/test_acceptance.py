@@ -18,7 +18,6 @@ import pytest
 from factorcrit import (
     ConfigLabel,
     add_edge,
-    all_graphs,
     all_perfect_matchings,
     bits,
     brute_force_max_matching,
@@ -65,28 +64,6 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 
 
 @pytest.fixture(scope="session")
-def build_seconds() -> dict[str, float]:
-    """Seconds each expensive session fixture took to build, by fixture name.
-
-    The first criterion that needs the artifact adds them to its elapsed time.
-    """
-    return {}
-
-
-@pytest.fixture(scope="session")
-def reps7():
-    return {n: tuple(all_graphs(n)) for n in range(1, 8)}
-
-
-@pytest.fixture(scope="session")
-def reps8(reps7, build_seconds):
-    t0 = time.monotonic()
-    reps = reps7 | {8: tuple(all_graphs(8))}
-    build_seconds["reps8"] = time.monotonic() - t0
-    return reps
-
-
-@pytest.fixture(scope="session")
 def sweep_runs(reps8, build_seconds):
     """Criterion 3 CLI runs, shared with criteria 8 and 9."""
     t0 = time.monotonic()
@@ -114,12 +91,12 @@ def sample_run(build_seconds):
     return code, records, err
 
 
-def test_criterion_01_matching_oracle(reps7):
+def test_criterion_01_matching_oracle(graphs_by_order):
     """Blossom equals the exhaustive oracle on all 1044 order-7 classes and
     10^4 seeded random graphs with 8 <= n <= 14; zero mismatches; < 60 s."""
     t0 = time.monotonic()
     mismatches = 0
-    seven = reps7[7]
+    seven = graphs_by_order[7]
     assert len(seven) == 1044
     for g in seven:
         if max_matching(g).size() != brute_force_max_matching(g):
@@ -367,7 +344,7 @@ def test_criterion_09_connectivity_consequences(sweep_runs, sample_run):
     )
 
 
-def test_criterion_10_enumeration_counts(reps7):
+def test_criterion_10_enumeration_counts(graphs_by_order):
     """Exhaustive generation emits exactly 11, 34, 156, 1044 classes for
     n = 4..7 (dedupe oracle live for n <= 6, frozen oracle value at n = 7),
     with graph6 round-trip identity on every emitted graph."""
@@ -375,7 +352,7 @@ def test_criterion_10_enumeration_counts(reps7):
     problems = []
     expected = {4: 11, 5: 34, 6: 156, 7: 1044}
     for n, want in expected.items():
-        got = len(reps7[n])
+        got = len(graphs_by_order[n])
         if got != want:
             problems.append(f"n={n}: {got} != {want}")
     # live labeled-enumeration dedupe oracle for n <= 6; the n = 7 value was
@@ -394,10 +371,10 @@ def test_criterion_10_enumeration_counts(reps7):
             problems.append(f"dedupe oracle n={n}: {len(seen)}")
     dup = 0
     for n in range(4, 8):
-        forms = {canonical_form(g).encoding for g in reps7[n]}
-        if len(forms) != len(reps7[n]):
+        forms = {canonical_form(g).encoding for g in graphs_by_order[n]}
+        if len(forms) != len(graphs_by_order[n]):
             dup += 1
-        for g in reps7[n]:
+        for g in graphs_by_order[n]:
             if parse_graph6(to_graph6(g)) != g:
                 problems.append(f"round-trip failure at n={n}")
                 break

@@ -157,6 +157,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: jobs={jobs} must be at least 1\n"
 
+    @pytest.mark.parametrize("p", ["1.7", "-0.1"])
+    def test_probability_out_of_range_exit_2(self, capsys, p):
+        code, out, err = run(
+            capsys, "verify", "--n", "4", "--k", "2", "--source", "all", "--p", p
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: edge probability {p} outside [0, 1]\n"
+
     def test_file_source(self, capsys, tmp_path):
         path = tmp_path / "graphs.g6"
         path.write_text(K6 + "\n" + C6 + "\n")

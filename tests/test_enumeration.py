@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -24,7 +26,29 @@ from factorcrit import (
     read_graph6_stream,
     to_graph6,
 )
-from factorcrit.enumeration import _canonical_bytes
+from factorcrit.enumeration import (
+    _canonical_bytes,
+    _degree_sequence,
+    _delete_vertex_rows,
+    _deletion_below,
+    _minimal_columns,
+    _refinement_key,
+    _representatives,
+)
+from factorcrit.graphs import _trusted
+
+# SHA-256 of the graph6 stream of all_graphs(n), one line per graph, as the
+# generator emitted it before the filters ahead of dedupe were added
+GRAPH6_STREAM_SHA256 = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    3: "aefbaa12a956ed1f415fa897c455185134275a89a57ce1ef7d38f771c0d9129e",
+    4: "b809c405cd3b8fb3cc836a9e7471658a8cf02cbc258029bddbecc9f2caf2ea32",
+    5: "4bc0fb93a5c083a0a1fa10ab2e1614ff979715d4b476e4ccbad737cf8a169f22",
+    6: "e3675dcf4dc6d481eb143f21b09fc23186f2cbbc7a66ace53267a37f4fecffa1",
+    7: "adbfb0cf959a374a61a226d8839085f317684de29698ae1f8c34e60256b43c90",
+    8: "f09886b7e5a4215526268a89c1cced3c9b04a70f661add7dab289b27f2a693a7",
+}
 
 
 def dedupe_oracle(n: int) -> int:
@@ -39,6 +63,59 @@ def dedupe_oracle(n: int) -> int:
                 rows[b] |= 1 << a
         seen.add(_canonical_bytes(n, tuple(rows)))
     return len(seen)
+
+
+def reference_parent_is_canonical(
+    n: int, child: tuple[int, ...], pdeg: tuple[int, ...], pform: bytes
+) -> bool:
+    """Whether the parent (with invariants pdeg/pform) is the child's
+    canonical parent: no single-vertex deletion reaches a class with a
+    smaller (degree sequence, canonical form) key."""
+    deletions = [_delete_vertex_rows(n, child, v) for v in range(n)]
+    degseqs = [_degree_sequence(rows) for rows in deletions]
+    if min(degseqs) < pdeg:
+        return False
+    for rows, ds in zip(deletions, degseqs):
+        if ds == pdeg and _canonical_bytes(n - 1, rows) < pform:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def reference_representatives(n: int) -> tuple[Graph, ...]:
+    """Slow oracle for ``_representatives``: every child of every parent is
+    deduped by canonical form, then each class is checked against every
+    one-vertex deletion."""
+    if n == 1:
+        return (_trusted(1, (0,)),)
+
+    out: list[Graph] = []
+    for parent in reference_representatives(n - 1):
+        pdeg = _degree_sequence(parent.adj)
+        pform = _canonical_bytes(n - 1, parent.adj)
+        # bucket the children of this parent by a cheap invariant, then
+        # dedupe exact isomorphism duplicates inside colliding buckets only
+        buckets: dict[tuple, list[tuple[int, ...]]] = {}
+        for attach in range(1 << (n - 1)):
+            rows = tuple(
+                row | ((attach >> v & 1) << (n - 1)) for v, row in enumerate(parent.adj)
+            ) + (attach,)
+            buckets.setdefault(_refinement_key(rows), []).append(rows)
+        child_reps: list[tuple[int, ...]] = []
+        for members in buckets.values():
+            if len(members) == 1:
+                child_reps.append(members[0])
+                continue
+            seen: dict[bytes, tuple[int, ...]] = {}
+            for rows in members:
+                form = _canonical_bytes(n, rows)
+                if form not in seen:
+                    seen[form] = rows
+            child_reps.extend(seen.values())
+        for rows in child_reps:
+            if reference_parent_is_canonical(n, rows, pdeg, pform):
+                out.append(_trusted(n, rows))
+    return tuple(out)
 
 
 def permute(g: Graph, perm: list[int]) -> Graph:
@@ -98,6 +175,63 @@ class TestAllGraphs:
     def test_rejects_large(self):
         with pytest.raises(GraphError):
             next(all_graphs(9))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_reference_generator(self, n):
+        assert [g.adj for g in _representatives(n)] == [g.adj for g in reference_representatives(n)]
+
+    def test_graph6_stream_digests(self, reps8):
+        for n, digest in GRAPH6_STREAM_SHA256.items():
+            stream = "".join(to_graph6(g) + "\n" for g in reps8[n]).encode()
+            assert hashlib.sha256(stream).hexdigest() == digest, f"n={n}"
+
+
+class TestGenerationPredicates:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from((0.2, 0.5, 0.8)),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(0, 27),
+    )
+    def test_bounded_search_matches_full_search(self, n, p, seed, other_seed, pair):
+        adj = random_graph(n, p, seed).adj
+        least = _minimal_columns(n, adj)
+        # bounds from an unrelated graph, from the graph itself and from the
+        # graph with one pair toggled
+        toggled = list(adj)
+        if n > 1:
+            a, b = list(combinations(range(n), 2))[pair % (n * (n - 1) // 2)]
+            toggled[a] ^= 1 << b
+            toggled[b] ^= 1 << a
+        for other in (random_graph(n, p, other_seed).adj, adj, tuple(toggled)):
+            bound = _minimal_columns(n, other)
+            below = _minimal_columns(n, adj, bound)
+            assert (below is not None) == (least < bound)
+            if below is not None:
+                assert least <= below < bound
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7), st.sampled_from((0.2, 0.5, 0.8)), st.integers(0, 10**6))
+    def test_bucket_degree_test_matches_deletions(self, m, p, seed):
+        parent = random_graph(m, p, seed).adj
+        pdeg = _degree_sequence(parent)
+        n = m + 1
+        buckets: dict[tuple, list[tuple[int, ...]]] = {}
+        for attach in range(1 << m):
+            rows = tuple(row | ((attach >> v & 1) << m) for v, row in enumerate(parent)) + (attach,)
+            buckets.setdefault(_refinement_key(rows), []).append(rows)
+        for key, members in buckets.items():
+            # the parent's degree sequence, and each deletion's of the first
+            # member as a bound that some deletions meet exactly
+            first = members[0]
+            bounds = {pdeg} | {_degree_sequence(_delete_vertex_rows(n, first, v)) for v in range(n)}
+            for bound in bounds:
+                below = _deletion_below(key, bound)
+                for rows in members:
+                    degseqs = [_degree_sequence(_delete_vertex_rows(n, rows, v)) for v in range(n)]
+                    assert below == (min(degseqs) < bound)
 
 
 class TestRandomGraph:

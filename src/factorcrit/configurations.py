@@ -23,10 +23,12 @@ from .graphs import (
     Graph,
     GraphError,
     VertexSet,
-    _trusted,
     add_edge,
     common_nonneighborhood,
+    delete_edge,
+    delete_vertices,
     graph_from_edges,
+    mask_of,
     min_degree,
 )
 from .matching import has_perfect_matching
@@ -89,6 +91,16 @@ _SIGNATURES: list[tuple[ConfigLabel, ConfigSignature]] = [
     (ConfigLabel.C14, ConfigSignature(4, (1, 1, 1, 1, 1, 1), _TT)),
 ]
 
+# endpoint component sizes, smaller first, of each placement with X nonempty;
+# with X empty the edge joins the only two components (between-the-two)
+_ENDPOINT_SIZES: dict[EdgePlacement, tuple[int, int]] = {
+    _TT: (1, 1),
+    _T3: (1, 3),
+    _T5: (1, 5),
+    _P33: (3, 3),
+}
+_PLACEMENT_OF_SIZES = {sizes: placement for placement, sizes in _ENDPOINT_SIZES.items()}
+
 _BY_SIGNATURE = {
     (sig.x_size, sig.component_sizes, sig.placement): label for label, sig in _SIGNATURES
 }
@@ -97,18 +109,6 @@ _BY_SIGNATURE = {
 def signature_table() -> list[tuple[ConfigLabel, ConfigSignature]]:
     """The fixed fourteen-row table, in label order."""
     return list(_SIGNATURES)
-
-
-def _placement_of(x_size: int, u_size: int, v_size: int) -> EdgePlacement:
-    if x_size == 0:
-        return _B2
-    pair = (u_size, v_size) if u_size <= v_size else (v_size, u_size)
-    try:
-        return {(1, 1): _TT, (1, 3): _T3, (1, 5): _T5, (3, 3): _P33}[pair]
-    except KeyError:
-        raise RuntimeError(
-            f"endpoint component sizes {pair} outside the classification table"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +195,12 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
             continue
         x_size = w.x.bit_count()
         sizes = tuple(sorted(c.vertices.bit_count() for c in w.components))
-        placement = _placement_of(x_size, u_comp.bit_count(), v_comp.bit_count())
+        ends = tuple(sorted((u_comp.bit_count(), v_comp.bit_count())))
+        placement = _PLACEMENT_OF_SIZES.get(ends) if x_size else _B2
         label = _BY_SIGNATURE.get((x_size, sizes, placement))
         if label is None:
             raise RuntimeError(
-                f"witness ({x_size}, {sizes}, {placement}) missing from the table"
+                f"witness ({x_size}, {sizes}, endpoint sizes {ends}) missing from the table"
             )
         entries.append(
             ClassifiedWitness(label=label, witness=w, u_component=u_comp, v_component=v_comp)
@@ -223,14 +224,6 @@ class BuiltInstance:
     graph: Graph
     edge: Edge
     s_e: VertexSet
-
-
-_ENDPOINT_SIZES: dict[EdgePlacement, tuple[int, int]] = {
-    _TT: (1, 1),
-    _T3: (1, 3),
-    _T5: (1, 5),
-    _P33: (3, 3),
-}
 
 
 def _component_edges(block: list[int], style: str) -> list[Edge]:
@@ -321,9 +314,7 @@ def build_instance(
             f"minimum degree {min_degree(host)} < {n - 8}"
         )
 
-    s_e = 0
-    for s in s_block:
-        s_e |= 1 << s
+    s_e = mask_of(s_block)
     _check_built(host, (u, v), s_e)
     return BuiltInstance(graph=host, edge=(u, v), s_e=s_e)
 
@@ -343,15 +334,12 @@ def core_graph(host: Graph, e: Edge, s_e: VertexSet) -> Graph:
     """The order-10 deficient core: host minus e minus the padding set.
 
     Valid for hosts laid out by :func:`build_instance` (padding occupies the
-    top indices, so core labels are unchanged).
+    top indices, so core labels are unchanged). Raises :class:`GraphError`
+    when the host lacks e.
     """
     if s_e != ((1 << host.n) - 1) ^ ((1 << 10) - 1):
         raise GraphError("padding set must occupy the top host indices")
-    rows = [row & ((1 << 10) - 1) for row in host.adj[:10]]
-    u, v = e
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
-    return _trusted(10, tuple(rows))
+    return delete_edge(delete_vertices(host, s_e), e)
 
 
 # ---------------------------------------------------------------------------

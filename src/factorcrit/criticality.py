@@ -28,13 +28,12 @@ from .graphs import (
     GraphError,
     VertexSet,
     _components_masked,
-    _k_subsets_ascending,
     _trusted,
     is_k_connected,
     is_k_edge_connected,
     normalize_edge,
 )
-from .matching import _find_augmenting, _match_array
+from .matching import _find_augmenting, _first_failing_subset
 
 
 class NotKFactorCriticalError(GraphError):
@@ -47,26 +46,6 @@ def _check_k(g: Graph, k: int) -> None:
         raise GraphError(f"k={k} outside 0..{g.n - 1}")
 
 
-def _first_failing_subset(
-    g: Graph, k: int, witnesses: list[tuple[int, list[int]]] | None = None,
-) -> int | None:
-    """First k-subset (ascending mask) whose removal leaves no perfect
-    matching, or None when the graph is k-factor-critical.
-
-    ``witnesses``, when given, receives (S, match array) with a perfect
-    matching of G - S for every k-set S below the first failing one.
-    """
-    n, adj, full = g.n, g.adj, g.vertex_mask
-    for s in _k_subsets_ascending(n, k):
-        sub = full & ~s
-        match = None if sub.bit_count() % 2 else _match_array(n, adj, sub, stop_on_exposed=True)
-        if match is None:
-            return s
-        if witnesses is not None:
-            witnesses.append((s, match))
-    return None
-
-
 class _Witnesses:
     """A graph under edge deletion with one perfect matching of G - S per
     k-set S. ``failing`` is the input's first failing k-set; the edge tests
@@ -76,7 +55,7 @@ class _Witnesses:
         _check_k(g, k)
         self.n, self.full, self.adj = g.n, g.vertex_mask, list(g.adj)
         self.table: list[tuple[int, list[int]]] = []
-        self.failing = _first_failing_subset(g, k, self.table)
+        self.failing = _first_failing_subset(g.n, g.adj, g.vertex_mask, k, self.table)
 
     def failing_without(self, u: int, v: int, commit: bool = False) -> int | None:
         """Lowest k-set S such that G - uv - S has no perfect matching, or
@@ -117,7 +96,7 @@ def is_k_factor_critical(g: Graph, k: int) -> tuple[bool, VertexSet | None]:
     _check_k(g, k)
     if (g.n + k) % 2:
         return False, None
-    failing = _first_failing_subset(g, k)
+    failing = _first_failing_subset(g.n, g.adj, g.vertex_mask, k)
     return (failing is None), failing
 
 

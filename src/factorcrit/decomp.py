@@ -1,5 +1,10 @@
 """Factor-criticality, Gallai-Edmonds decomposition, and barrier witnesses.
 
+A graph is factor-critical when it is 1-factor-critical: it has odd order
+and deleting any one vertex leaves a perfect matching. The test is the k = 1
+case of the k-subset sweep in :mod:`.matching`, run on the vertex set in
+question, so a component of G - X is tested in place.
+
 A barrier witness is a vertex set X whose removal leaves only factor-critical
 components, at least |X| + 2 of them; one exists in every graph of deficiency
 at least two (in particular in every even-order graph without a perfect
@@ -12,30 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, VertexSet, _components_masked, _k_subsets_ascending, bits
-from .matching import _has_pm, _matching_size
-
-
-def _is_factor_critical_masked(n: int, adj: tuple[int, ...], sub: int) -> bool:
-    if sub.bit_count() % 2 == 0:
-        return False
-    m = sub
-    while m:
-        bit = m & -m
-        m ^= bit
-        if not _has_pm(n, adj, sub ^ bit):
-            return False
-    return True
+from .matching import _first_failing_subset, _has_pm, _matching_size
 
 
 def is_factor_critical(g: Graph) -> bool:
-    """Deleting any single vertex leaves a perfect matching (n odd).
+    """Odd order, and deleting any single vertex leaves a perfect matching.
 
     The single-vertex graph qualifies: removing its vertex leaves the empty
-    graph, whose perfect matching is vacuous.
+    graph, whose perfect matching is vacuous. The empty graph has even order
+    and does not.
     """
-    if g.n == 0:
-        return False
-    return _is_factor_critical_masked(g.n, g.adj, g.vertex_mask)
+    return g.n % 2 == 1 and _first_failing_subset(g.n, g.adj, g.vertex_mask, 1) is None
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ def _witness_for(
             return None
         fc = fc_cache.get(comp)
         if fc is None:
-            fc = _is_factor_critical_masked(n, adj, comp)
+            fc = _first_failing_subset(n, adj, comp, 1) is None
             fc_cache[comp] = fc
         if not fc:
             return None
@@ -124,8 +116,8 @@ def find_barrier_witnesses(g: Graph, max_x: int) -> list[BarrierWitness]:
     """
     if g.n > 12:
         raise GraphError("exhaustive barrier search limited to n <= 12")
-    if max_x > g.n:
-        raise GraphError("max_x exceeds the vertex count")
+    if not 0 <= max_x <= g.n:
+        raise GraphError(f"max_x={max_x} outside 0..{g.n}")
     if _has_pm(g.n, g.adj, g.vertex_mask):
         raise GraphError("graph has a perfect matching; no barrier witness exists")
     n, adj, full = g.n, g.adj, g.vertex_mask

@@ -13,9 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .graphs import Graph, Graph6Error, GraphError, _encode_columns, _trusted, parse_graph6
+from .graphs import (
+    Graph,
+    Graph6Error,
+    GraphError,
+    _delete_vertex_rows,
+    _encode_columns,
+    _trusted,
+    parse_graph6,
+)
 
 
 @dataclass(frozen=True)
@@ -90,8 +98,6 @@ def _minimal_columns(n: int, adj: tuple[int, ...], bound: list[int] | None = Non
 
 
 def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
-    if n <= 1:
-        return _encode_columns(n, [])
     return _encode_columns(n, _minimal_columns(n, adj))
 
 
@@ -133,17 +139,6 @@ def _refinement_key(adj: tuple[int, ...]) -> tuple:
         out.append((degs[v], tuple(nb)))
     out.sort()
     return tuple(out)
-
-
-def _delete_vertex_rows(n: int, adj: tuple[int, ...], v: int) -> tuple[int, ...]:
-    low = (1 << v) - 1
-    rows = []
-    for w in range(n):
-        if w == v:
-            continue
-        row = adj[w]
-        rows.append((row & low) | (row >> (v + 1) << v))
-    return tuple(rows)
 
 
 def _deletion_below(key: tuple, pdeg: tuple[int, ...]) -> bool:
@@ -230,8 +225,7 @@ def all_graphs(n: int) -> Iterator[Graph]:
     under the parent whose (degree sequence, canonical form) key is the
     smallest over the child's one-vertex deletions.
     """
-    for g in _representatives(n):
-        yield g
+    yield from _representatives(n)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +289,11 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def read_graph6_stream(
-    lines: Iterable[str],
-    strict: bool = True,
-    on_error: Callable[[int, Graph6Error], None] | None = None,
-) -> Iterator[Graph]:
+def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
     """Parse newline-delimited graph6 lines, in input order.
 
-    Blank lines are skipped. A malformed line raises (``strict=True``) or is
-    reported to ``on_error`` with its 1-based line number and skipped.
+    Blank lines are skipped. A malformed line raises :class:`Graph6Error`
+    naming its 1-based line number.
     """
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -312,8 +302,4 @@ def read_graph6_stream(
         try:
             yield parse_graph6(stripped)
         except Graph6Error as exc:
-            err = Graph6Error(f"line {lineno}: {exc}")
-            if strict:
-                raise err from None
-            if on_error is not None:
-                on_error(lineno, err)
+            raise Graph6Error(f"line {lineno}: {exc}") from None

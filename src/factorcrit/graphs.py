@@ -51,8 +51,6 @@ def _k_subsets_ascending(n: int, k: int) -> Iterator[int]:
     if k == 0:
         yield 0
         return
-    if k > n:
-        return
     m = (1 << k) - 1
     top = 1 << n
     while m < top:
@@ -287,20 +285,29 @@ def delete_vertices(g: Graph, s: VertexSet) -> Graph:
     return delete_vertices_with_map(g, s)[0]
 
 
+def _delete_vertex_rows(n: int, adj: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The rows of the n-vertex adjacency ``adj`` with vertex ``v`` deleted;
+    the vertices above ``v`` move down one label."""
+    low = (1 << v) - 1
+    rows = []
+    for w in range(n):
+        if w == v:
+            continue
+        row = adj[w]
+        rows.append((row & low) | (row >> (v + 1) << v))
+    return tuple(rows)
+
+
 def delete_vertices_with_map(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
     """Like :func:`delete_vertices`, also returning the old->new index map."""
     if s & ~g.vertex_mask:
         raise GraphError("deletion set contains vertices outside the graph")
-    keep = g.vertex_mask & ~s
-    old = list(bits(keep))
-    remap = {o: i for i, o in enumerate(old)}
-    rows = []
-    for o in old:
-        row = 0
-        for w in bits(g.adj[o] & keep):
-            row |= 1 << remap[w]
-        rows.append(row)
-    return _trusted(len(old), tuple(rows)), remap
+    n, rows = g.n, g.adj
+    # highest label first, so the labels still to delete stay put
+    for v in reversed(list(bits(s))):
+        rows = _delete_vertex_rows(n, rows, v)
+        n -= 1
+    return _trusted(n, rows), {o: i for i, o in enumerate(bits(g.vertex_mask & ~s))}
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:

@@ -1,16 +1,27 @@
 """Maximum matching and perfect-matching predicates.
 
 The production engine is an array-based blossom algorithm working directly
-on vertex bitmasks, so induced subgraphs never need relabeling. A pruned
-exhaustive recursion (:func:`brute_force_max_matching`) and a full
-perfect-matching enumerator serve as independent oracles for tests.
+on vertex bitmasks, so induced subgraphs never need relabeling. The k-subset
+sweep built on it decides k-factor-criticality and, at k = 1 on a vertex
+set, factor-criticality. A pruned exhaustive recursion
+(:func:`brute_force_max_matching`) and a full perfect-matching enumerator
+serve as independent oracles for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, GraphError, VertexSet, _components_masked, bits, delete_edge
+from .graphs import (
+    Edge,
+    Graph,
+    GraphError,
+    VertexSet,
+    _components_masked,
+    _k_subsets_ascending,
+    bits,
+    delete_edge,
+)
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,29 @@ def _has_pm(n: int, adj: tuple[int, ...], sub: int) -> bool:
     return _match_array(n, adj, sub, stop_on_exposed=True) is not None
 
 
+def _first_failing_subset(
+    n: int, adj: tuple[int, ...], sub: int, k: int, witnesses: list[tuple[int, list[int]]] | None = None,
+) -> int | None:
+    """First k-subset S of ``sub`` (ascending mask) such that the subgraph
+    induced on sub - S has no perfect matching, or None when there is none.
+
+    With ``sub`` all vertices this sweeps k-factor-criticality; with k = 1 and
+    ``sub`` of odd order, factor-criticality of the induced subgraph.
+    ``witnesses``, when given, receives (S, match array) with a perfect
+    matching of G[sub - S] for every k-set S below the first failing one.
+    """
+    for s in _k_subsets_ascending(n, k):
+        if s & ~sub:
+            continue
+        rest = sub & ~s
+        match = None if rest.bit_count() % 2 else _match_array(n, adj, rest, stop_on_exposed=True)
+        if match is None:
+            return s
+        if witnesses is not None:
+            witnesses.append((s, match))
+    return None
+
+
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching; deterministic for a fixed labeling."""
     match = _match_array(g.n, g.adj, g.vertex_mask)
@@ -154,8 +188,6 @@ def max_matching(g: Graph) -> Matching:
 
 
 def has_perfect_matching(g: Graph) -> bool:
-    if g.n == 0:
-        return True
     return _has_pm(g.n, g.adj, g.vertex_mask)
 
 

@@ -55,6 +55,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--graph", "!!!", "--k", "2")
         assert code == 2 and "error" in err
 
+    def test_k_out_of_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--graph", K4, "--k", "7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: k=7 outside 0..3\n"
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 

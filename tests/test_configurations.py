@@ -18,6 +18,7 @@ from factorcrit import (
     complete_graph,
     core_graph,
     deficiency,
+    delete_edge,
     delete_vertices,
     graph_from_edges,
     has_perfect_matching,
@@ -175,6 +176,13 @@ class TestBuildInstance:
         for s in bits(inst.s_e):
             assert inst.graph.degree(s) == 13
 
+    def test_core_graph_rejects_host_without_edge(self):
+        inst = build_instance(ConfigLabel.C3, 12)
+        u, v = inst.edge
+        without = delete_edge(inst.graph, inst.edge)
+        with pytest.raises(GraphError, match=f"edge \\({u},{v}\\) not present"):
+            core_graph(without, inst.edge, inst.s_e)
+
     def test_rejects_small_host(self):
         with pytest.raises(GraphError):
             build_instance(ConfigLabel.C1, 11)
@@ -207,8 +215,6 @@ class TestIntersectionBounds:
     def test_degree_hypothesis_guard(self):
         inst = build_instance(ConfigLabel.C1, 12)
         # drop a padding vertex's edge to push its degree below n - 8
-        from factorcrit import delete_edge
-
         weak = inst.graph
         target = 10  # first padding vertex
         for w in list(bits(weak.adj[target]))[:5]:

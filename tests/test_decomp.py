@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from factorcrit import (
+    Graph,
     GraphError,
     all_graphs,
     brute_force_max_matching,
@@ -50,6 +51,28 @@ class TestFactorCritical:
         for v in range(5):
             h = delete_vertices(g, 1 << v)
             assert brute_force_max_matching(h) * 2 == h.n
+
+    @staticmethod
+    def factor_critical_by_definition(g) -> bool:
+        """Odd order and every G - v has a matching of size (n - 1) / 2."""
+        return g.n % 2 == 1 and all(
+            brute_force_max_matching(delete_vertices(g, 1 << v)) == (g.n - 1) // 2
+            for v in range(g.n)
+        )
+
+    def test_matches_definition_on_every_class(self, graphs_by_order):
+        for n, graphs in graphs_by_order.items():
+            for g in graphs:
+                assert is_factor_critical(g) == self.factor_critical_by_definition(g), (n, g.adj)
+
+    def test_matches_definition_on_random_graphs(self):
+        for seed in range(200):
+            n = 1 + seed % 11
+            g = random_graph(n, (0.2, 0.4, 0.6, 0.8)[seed % 4], seed)
+            assert is_factor_critical(g) == self.factor_critical_by_definition(g), seed
+
+    def test_empty_graph_is_not_factor_critical(self):
+        assert not is_factor_critical(Graph(0, ()))
 
     def test_structural_consequences(self, graphs_by_order):
         # factor-critical implies connected, odd order, min degree >= 2 (n >= 3)
@@ -126,6 +149,12 @@ class TestBarrierWitnesses:
     def test_rejects_perfectly_matchable(self):
         with pytest.raises(GraphError):
             find_barrier_witnesses(complete_graph(4), 2)
+
+    @pytest.mark.parametrize("max_x", [-1, 11])
+    def test_rejects_max_x_out_of_range(self, max_x):
+        g = disjoint_cliques([3, 7])
+        with pytest.raises(GraphError, match=f"max_x={max_x} outside 0..10"):
+            find_barrier_witnesses(g, max_x)
 
     def test_ordering_and_flags(self):
         g = random_graph(9, 0.25, 11)

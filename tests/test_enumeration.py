@@ -29,13 +29,12 @@ from factorcrit import (
 from factorcrit.enumeration import (
     _canonical_bytes,
     _degree_sequence,
-    _delete_vertex_rows,
     _deletion_below,
     _minimal_columns,
     _refinement_key,
     _representatives,
 )
-from factorcrit.graphs import _trusted
+from factorcrit.graphs import _delete_vertex_rows, _trusted
 
 # SHA-256 of the graph6 stream of all_graphs(n), one line per graph, as the
 # generator emitted it before the filters ahead of dedupe were added
@@ -274,14 +273,3 @@ class TestStream:
             list(read_graph6_stream(["!\n"]))
         with pytest.raises(Graph6Error, match="line 2"):
             list(read_graph6_stream(["C~\n", "!\n"]))
-
-    def test_lenient_reports_and_continues(self):
-        seen = []
-        got = list(
-            read_graph6_stream(
-                ["C~\n", "!\n", "D??\n"],
-                strict=False,
-                on_error=lambda lineno, err: seen.append(lineno),
-            )
-        )
-        assert len(got) == 2 and seen == [2]

@@ -210,6 +210,26 @@ class TestMutation:
         _, remap = delete_vertices_with_map(complete_graph(5), mask_of([1, 3]))
         assert remap == {0: 0, 2: 1, 4: 2}
 
+    @given(random_graph_strategy(max_n=16), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_deletion_matches_remap_oracle(self, spec, data):
+        n, edges = spec
+        g = graph_from_edges(n, edges)
+        s = data.draw(st.integers(0, g.vertex_mask))
+        got, got_remap = delete_vertices_with_map(g, s)
+        # oracle: relabel each surviving neighbour through the old->new map
+        keep = g.vertex_mask & ~s
+        old = list(bits(keep))
+        remap = {o: i for i, o in enumerate(old)}
+        rows = []
+        for o in old:
+            row = 0
+            for w in bits(g.adj[o] & keep):
+                row |= 1 << remap[w]
+            rows.append(row)
+        assert got == Graph(len(old), tuple(rows))
+        assert got_remap == remap
+
     def test_delete_nonedge_rejected(self):
         with pytest.raises(GraphError):
             delete_edge(cycle_graph(5), (0, 2))

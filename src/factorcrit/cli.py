@@ -5,9 +5,10 @@ Subcommands: ``analyze`` (per-graph criticality report), ``classify``
 exhaustive, file, or sampled sources), ``minimalize``, and ``certify``.
 
 Exit codes: 0 all checks passed, 1 mathematical counterexample or failed
-check precondition, 2 malformed input. Primary output is byte-deterministic
-for fixed (command, flags, seed, input); wall-clock timestamps appear only
-in the optional append-only run log.
+check precondition, 2 malformed input, 3 internal invariant failure (a
+``RuntimeError``, reported on one ``internal error:`` line). Primary output
+is byte-deterministic for fixed (command, flags, seed, input); wall-clock
+timestamps appear only in the optional append-only run log.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
-from multiprocessing import Pool
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from .configurations import ClassificationError, classify
@@ -37,6 +36,7 @@ from .matching import deficiency
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 DEFAULT_SAMPLE_P = 0.8
 
@@ -100,6 +100,8 @@ def _sample_worker(task: tuple[int, float, int, int]) -> VerificationRecord | No
 def _run_pool(worker, tasks: list, jobs: int) -> Iterable[VerificationRecord | None]:
     if jobs <= 1:
         return map(worker, tasks)
+    from multiprocessing import Pool  # about 0.6 MB of RSS; only --jobs > 1 needs it
+
     pool = Pool(jobs)
     chunk = max(1, len(tasks) // (jobs * 8))
     try:
@@ -177,7 +179,7 @@ def verify_scan(
 def _emit_records(records: list[VerificationRecord], fmt: str, out: TextIO) -> None:
     if fmt == "json":
         for rec in records:
-            out.write(json.dumps(asdict(rec)) + "\n")
+            out.write(json.dumps(vars(rec)) + "\n")
     elif fmt == "tsv":
         out.write("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n")
         for rec in records:
@@ -197,6 +199,8 @@ def _emit_records(records: list[VerificationRecord], fmt: str, out: TextIO) -> N
 
 
 def _append_run_log(path: str, args: argparse.Namespace, digest: str, summary: VerifySummary) -> None:
+    from datetime import datetime, timezone  # only the run log needs a clock
+
     entry = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": " ".join(sys.argv),
@@ -450,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
     except (Graph6Error, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

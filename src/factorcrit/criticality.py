@@ -31,6 +31,7 @@ from .graphs import (
     _trusted,
     is_k_connected,
     is_k_edge_connected,
+    min_degree,
     normalize_edge,
 )
 from .matching import _find_augmenting, _first_failing_subset
@@ -189,7 +190,11 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
 
 def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     """(k-factor-critical, minimal) from one sweep, without certificates:
-    the edge tests stop at the first deletable edge."""
+    the edge tests stop at the first deletable edge. Minimum degree <= k
+    fails before the sweep: deleting a k-set holding N(v) isolates v."""
+    _check_k(g, k)
+    if min_degree(g) <= k:
+        return False, False
     w = _Witnesses(g, k)
     if w.failing is not None:
         return False, False

@@ -272,7 +272,7 @@ def common_nonneighborhood(g: Graph, u: int, v: int) -> VertexSet:
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise GraphError("minimum degree of the empty graph is undefined")
-    return min(row.bit_count() for row in g.adj)
+    return min(map(int.bit_count, g.adj))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Maximum matching and perfect-matching predicates.
 
 The production engine is an array-based blossom algorithm working directly
-on vertex bitmasks, so induced subgraphs never need relabeling. The k-subset
+on vertex bitmasks, so induced subgraphs never need relabeling; each search
+keeps its alternating tree in a vertex mask and contracts blossoms in it
+alone. The k-subset
 sweep built on it decides k-factor-criticality and, at k = 1 on a vertex
 set, factor-criticality. A pruned exhaustive recursion
 (:func:`brute_force_max_matching`) and a full perfect-matching enumerator
@@ -19,7 +21,6 @@ from .graphs import (
     VertexSet,
     _components_masked,
     _k_subsets_ascending,
-    bits,
     delete_edge,
 )
 
@@ -44,37 +45,17 @@ def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], r
     """Grow an alternating tree from ``root``; augment on success.
 
     Classic array-based search with blossom contraction tracked through a
-    ``base`` array. Only vertices inside ``sub`` participate.
+    ``base`` array. Only vertices inside ``sub`` participate. A vertex
+    outside the ``tree`` mask keeps ``base[i] == i`` and is never in a
+    blossom, so a contraction walks only ``tree``, in ascending order.
     """
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
     used[root] = True
+    tree = 1 << root
     queue = [root]
     head = 0
-
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = parent[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = parent[match[b]]
-
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
-            parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
-
     while head < len(queue):
         v = queue[head]
         head += 1
@@ -86,13 +67,29 @@ def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], r
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # odd cycle: contract the blossom at the common ancestor
-                cur = lca(v, to)
-                in_blossom = [False] * n
-                mark_path(v, cur, to, in_blossom)
-                mark_path(to, cur, v, in_blossom)
-                for i in bits(sub):
-                    if in_blossom[base[i]]:
+                # odd cycle: contract the blossom at the lowest common ancestor
+                a = base[v]
+                seen = 1 << a
+                while match[a] != -1:
+                    a = base[parent[match[a]]]
+                    seen |= 1 << a
+                cur = base[to]
+                while not seen >> cur & 1:
+                    cur = base[parent[match[cur]]]
+                blossom = 0
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != cur:
+                        mx = match[x]
+                        blossom |= (1 << base[x]) | (1 << base[mx])
+                        parent[x] = child
+                        child = mx
+                        x = parent[mx]
+                rest = tree
+                while rest:
+                    ibit = rest & -rest
+                    rest ^= ibit
+                    i = ibit.bit_length() - 1
+                    if blossom >> base[i] & 1:
                         base[i] = cur
                         if not used[i]:
                             used[i] = True
@@ -107,8 +104,10 @@ def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], r
                         match[to] = prev
                         to = nxt
                     return True
-                used[match[to]] = True
-                queue.append(match[to])
+                mate = match[to]
+                tree |= bit | (1 << mate)
+                used[mate] = True
+                queue.append(mate)
     return False
 
 
@@ -120,28 +119,33 @@ def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool =
     tests fail fast.
     """
     match = [-1] * n
-    for v in bits(sub):
-        if match[v] == -1:
-            row = adj[v] & sub
-            while row:
-                bit = row & -row
-                row ^= bit
-                u = bit.bit_length() - 1
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
-    for v in bits(sub):
-        if match[v] == -1:
-            if not _find_augmenting(n, adj, sub, match, v) and stop_on_exposed:
-                return None
+    free = sub
+    exposed = 0
+    while free:  # greedy: each vertex takes its lowest unmatched neighbour
+        bit = free & -free
+        free ^= bit
+        v = bit.bit_length() - 1
+        row = adj[v] & free
+        if row:
+            u = (row & -row).bit_length() - 1
+            free ^= 1 << u
+            match[v] = u
+            match[u] = v
+        else:
+            exposed |= bit
+    while exposed:
+        bit = exposed & -exposed
+        exposed ^= bit
+        v = bit.bit_length() - 1
+        if match[v] == -1 and not _find_augmenting(n, adj, sub, match, v) and stop_on_exposed:
+            return None
     return match
 
 
 def _matching_size(n: int, adj: tuple[int, ...], sub: int) -> int:
     match = _match_array(n, adj, sub)
     assert match is not None
-    return sum(1 for v in bits(sub) if match[v] != -1) // 2
+    return (n - match.count(-1)) // 2
 
 
 def _has_pm(n: int, adj: tuple[int, ...], sub: int) -> bool:

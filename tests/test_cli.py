@@ -99,6 +99,14 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--graph", g6, "--edge", "0,1")
         assert code == 1 and "has_perfect_matching" in err
 
+    def test_internal_error_exit_3(self, capsys, monkeypatch):
+        from factorcrit import configurations
+
+        monkeypatch.setattr(configurations, "find_barrier_witnesses", lambda h, max_x: [])
+        code, out, err = run(capsys, "classify", "--graph", K3K7, "--edge", "0,3")
+        assert code == 3 and out == ""
+        assert err == "internal error: no qualifying barrier witness found despite preconditions\n"
+
     def test_bad_edge_syntax_exit_2(self, capsys):
         code, _, _ = run(capsys, "classify", "--graph", K3K7, "--edge", "0:3")
         assert code == 2

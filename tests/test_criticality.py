@@ -28,7 +28,9 @@ from factorcrit import (
     minimality_certificate,
     minimalize,
     random_graph,
+    to_graph6,
 )
+from factorcrit.cli import main
 from factorcrit.criticality import _edge_deletable, _Witnesses
 from conftest import disjoint_cliques, petersen
 
@@ -60,6 +62,29 @@ class TestKFactorCritical:
     def test_k_out_of_range(self):
         with pytest.raises(GraphError):
             is_k_factor_critical(cycle_graph(5), 5)
+
+
+class TestSweepPrefilter:
+    """``kfc_and_minimal`` rejects min degree <= k before sweeping; the
+    reporting paths still sweep and name the lowest failing k-set."""
+
+    def test_agrees_with_full_reports(self, graphs_by_order):
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                for k in range(n):
+                    want = (is_k_factor_critical(g, k)[0], is_minimal_kfc(g, k).is_minimal)
+                    assert kfc_and_minimal(g, k) == want
+
+    def test_k_out_of_range_still_raises(self):
+        g = graph_from_edges(4, [(0, 1), (1, 2)])  # vertex 3 is isolated
+        with pytest.raises(GraphError):
+            kfc_and_minimal(g, 4)
+
+    def test_analyze_reports_lowest_failing_set(self, capsys):
+        g = cycle_graph(6)
+        assert min_degree(g) <= 2
+        assert main(["analyze", "--graph", to_graph6(g), "--k", "2"]) == 0
+        assert "failing set: [0, 2]\n" in capsys.readouterr().out
 
 
 class TestOddComponentEquivalence:

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcrit import (
     GraphError,
@@ -18,6 +23,7 @@ from factorcrit import (
     odd_components,
     random_graph,
 )
+from factorcrit.matching import _find_augmenting, _match_array
 from conftest import disjoint_cliques, petersen
 
 P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -184,3 +190,145 @@ class TestForcedEdges:
             for e in g.edges():
                 expect = bool(pms) and all(e in m.edges for m in pms)
                 assert every_perfect_matching_contains(g, e) == expect
+
+
+# ---------------------------------------------------------------------------
+# engine identity: the mask-based blossom search against the list-based one
+# ---------------------------------------------------------------------------
+
+
+def reference_find_augmenting(n, adj, sub, match, root):
+    """The blossom search with per-call ``seen`` / ``in_blossom`` lists and a
+    contraction that walks every vertex of ``sub``."""
+    parent = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    used[root] = True
+    queue = [root]
+    head = 0
+
+    def lca(a, b):
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v, b, child, in_blossom):
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for to in bits(adj[v] & sub):
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                cur = lca(v, to)
+                in_blossom = [False] * n
+                mark_path(v, cur, to, in_blossom)
+                mark_path(to, cur, v, in_blossom)
+                for i in bits(sub):
+                    if in_blossom[base[i]]:
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    while to != -1:
+                        prev = parent[to]
+                        nxt = match[prev]
+                        match[prev] = to
+                        match[to] = prev
+                        to = nxt
+                    return True
+                used[match[to]] = True
+                queue.append(match[to])
+    return False
+
+
+def reference_match_array(n, adj, sub, stop_on_exposed=False):
+    """Greedy pass and exposed-vertex pass over ``bits(sub)``."""
+    match = [-1] * n
+    for v in bits(sub):
+        if match[v] == -1:
+            for u in bits(adj[v] & sub):
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+    for v in bits(sub):
+        if match[v] == -1:
+            if not reference_find_augmenting(n, adj, sub, match, v) and stop_on_exposed:
+                return None
+    return match
+
+
+@contextmanager
+def watchdog(seconds: float = 1.0):
+    """Turn a search that never ends into a failure: a broken contraction
+    can leave a cycle in ``parent`` that the augmenting walk follows forever."""
+
+    def expire(signum, frame):
+        raise TimeoutError("blossom search did not finish")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 14))
+    return random_graph(n, draw(st.sampled_from((0.2, 0.3, 0.45, 0.6, 0.8))), draw(st.integers(0, 2**32)))
+
+
+class TestEngineIdentity:
+    @settings(max_examples=600, deadline=None)
+    @given(random_graphs(), st.data(), st.booleans())
+    def test_match_array(self, g, data, stop_on_exposed):
+        sub = data.draw(st.integers(0, g.vertex_mask))
+        with watchdog():
+            got = _match_array(g.n, g.adj, sub, stop_on_exposed)
+        assert got == reference_match_array(g.n, g.adj, sub, stop_on_exposed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(), st.sets(st.integers(0, 13), max_size=2))
+    def test_single_repairs(self, g, removed):
+        # delete each edge of a maximum matching of G - S in turn and search
+        # again from either endpoint, as a witness repair does
+        sub = g.vertex_mask & ~mask_of(removed)
+        match = reference_match_array(g.n, g.adj, sub)
+        for u in bits(sub):
+            v = match[u]
+            if v < u:
+                continue
+            adj = list(g.adj)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+            for root in (u, v):
+                got = match.copy()
+                got[u] = got[v] = -1
+                want = got.copy()
+                with watchdog():
+                    found = _find_augmenting(g.n, adj, sub, got, root)
+                assert found == reference_find_augmenting(g.n, adj, sub, want, root)
+                assert got == want

@@ -123,7 +123,7 @@ def verify_scan(
     """Run a verification sweep; records appear in input order.
 
     ``source`` is ``all``, ``file:PATH``, or ``sample``. Exhaustive scans
-    need n <= 8; sampling draws graph i from seed + i and minimalizes the
+    need n <= 9; sampling draws graph i from seed + i and minimalizes the
     k-factor-critical ones with the same per-sample seed.
     """
     if (n + k) % 2:
@@ -142,8 +142,8 @@ def verify_scan(
         results = _run_pool(_sample_worker, tasks, jobs)
     else:
         if source == "all":
-            if n > 8:
-                raise GraphError("source=all is limited to n <= 8")
+            if n > 9:
+                raise GraphError("source=all is limited to n <= 9")
             graphs = list(all_graphs(n))
         elif source.startswith("file:"):
             path = source[len("file:"):]

@@ -6,14 +6,20 @@ representative of order n-1, in order, by a new vertex n-1 attached to each
 subset of its vertices, and keeps a child exactly when the parent it was
 built from is its canonical parent: no one-vertex deletion of the child has
 a smaller (degree sequence, canonical form) key than that parent.
-``all_graphs`` states the resulting order, which the filters applied before
-dedupe do not change."""
+
+Children are bucketed by one round of colour refinement. Inside a bucket,
+isomorphic children are told apart by a class key that is complete but only
+tested for equality: the stable colour refinement, with colours named by
+their sorted signatures, then the minimal columns over the orderings that
+place the colour cells in name order. ``all_graphs`` states the resulting
+order, which neither the filters applied before dedupe nor the choice of
+dedupe key change."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphs import (
     Graph,
@@ -33,7 +39,9 @@ class CanonicalForm:
     encoding: bytes
 
 
-def _minimal_columns(n: int, adj: tuple[int, ...], bound: list[int] | None = None) -> list[int] | None:
+def _minimal_columns(
+    n: int, adj: tuple[int, ...], bound: list[int] | None = None, cells: list[int] | None = None
+) -> list[int] | None:
     """Minimal upper-triangle column values over all vertex orderings.
 
     Column j packs adjacency to the already-placed vertices, earliest
@@ -45,9 +53,15 @@ def _minimal_columns(n: int, adj: tuple[int, ...], bound: list[int] | None = Non
     the columns of the first ordering found below it, or None if there is
     none; an ordering equal to ``bound`` ends the search, since it shows
     that the graph is isomorphic to H.
+
+    With ``cells`` (vertex masks that partition the vertices), only the
+    orderings that place the cells one after another, in the given order,
+    are searched. The twin skip stays valid when twins share a cell.
     """
     best = bound
     degs = [row.bit_count() for row in adj]
+    # the vertices that may be placed at each depth
+    cell_at = [c for c in cells for _ in range(c.bit_count())] if cells else [(1 << n) - 1] * n
 
     # tight: the column prefix equals best's prefix (pruning applies);
     # otherwise it is strictly smaller, or best does not exist yet, and the
@@ -58,7 +72,8 @@ def _minimal_columns(n: int, adj: tuple[int, ...], bound: list[int] | None = Non
             if not tight:
                 best = cols.copy()
             return bound is not None
-        cands = sorted(((colv[u], degs[u], u) for u in unplaced))
+        cell = cell_at[depth]
+        cands = sorted(((colv[u], degs[u], u) for u in unplaced if cell >> u & 1))
         explored: list[int] = []
         for col, _, u in cands:
             if tight and depth:
@@ -118,112 +133,189 @@ def canonical_graph(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _degree_sequence(adj: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(row.bit_count() for row in adj))
+# Vertex codes. A degree sequence is packed as a count of vertices per
+# degree, 4 bits a count, degree d at digit(d) = 16 ** (n - 1 - d); for
+# sequences of equal length, sorted A < sorted B exactly when packed(A) >
+# packed(B). Deleting v changes the packed sequence of G by
+#     change(v) = 15 * nsum(v) - digit(deg v),  nsum(v) = sum of digit(deg w) over w ~ v,
+# since v's count goes and each neighbour w moves from digit(deg w) to
+# digit(deg w - 1) = 16 * digit(deg w). The code of v is 16 * change(v) + deg v.
+# It gives deg v and then nsum(v), which counts v's neighbours by degree; a
+# count is at most n - 1, so no digit carries while n <= 16. Two vertices
+# share a code exactly when they share (degree, multiset of neighbour
+# degrees), so the sorted codes of a graph are one round of colour
+# refinement: the bucket key.
 
 
-def _refinement_key(adj: tuple[int, ...]) -> tuple:
-    """One refinement round: sorted (degree, sorted neighbor degrees).
+def _digit(n: int, d: int) -> int:
+    return 1 << 4 * (n - 1 - d)
 
-    Isomorphism-invariant; used to bucket candidates before exact forms.
+
+def _attachment_codes(n: int, padj: tuple[int, ...]) -> Callable[[int], list[int]]:
+    """Vertex codes of the child that joins vertex n - 1 to the vertex set
+    ``attach`` of the parent ``padj``, from per-parent tables.
+
+    Joining raises the degree of each w in ``attach`` by one, from the digit
+    16 * up(w) to up(w), where up(w) = digit(deg w + 1). Each vertex's nsum
+    thus loses 15 * up(w) per joined neighbour w, a joined vertex gains the
+    new neighbour's digit and its own digit drops by 15 * up(v), and the new
+    vertex has nsum = sum of up(w) over w in ``attach``.
     """
-    degs = [row.bit_count() for row in adj]
-    out = []
-    for v, row in enumerate(adj):
-        nb = []
-        while row:
-            b = row & -row
-            row ^= b
-            nb.append(degs[b.bit_length() - 1])
-        nb.sort()
-        out.append((degs[v], tuple(nb)))
-    out.sort()
-    return tuple(out)
+    degs = [row.bit_count() for row in padj]
+    # raised[mask]: the sum of up(w) over w in mask
+    raised = [0]
+    for d in degs:
+        up = _digit(n, d + 1)
+        raised += [t + up for t in raised]
+    # a unit of nsum weighs 16 * 15 in a code, a unit of change 16
+    base = [16 * (15 * 16 * raised[row] - _digit(n, d)) + d for d, row in zip(degs, padj)]
+    drop = [16 * 15 * 15 * t for t in raised]
+    lift = [16 * 15 * raised[1 << v] + 1 for v in range(len(padj))]
+
+    def codes(attach: int) -> list[int]:
+        out = [b - drop[row & attach] for b, row in zip(base, padj)]
+        size = attach.bit_count()
+        gained = 16 * 15 * _digit(n, size)
+        rest = attach
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            v = b.bit_length() - 1
+            out[v] += gained + lift[v]
+        out.append(16 * (15 * raised[attach] - _digit(n, size)) + size)
+        return out
+
+    return codes
 
 
-def _deletion_below(key: tuple, pdeg: tuple[int, ...]) -> bool:
-    """Whether a one-vertex deletion of a graph with refinement key ``key``
-    has a degree sequence below ``pdeg``: degseq(G - v) is the degree
-    multiset less v's degree, with v's neighbours' degrees one lower."""
-    degs = [d for d, _ in key]
-    for d, nb in set(key):
-        rest = degs.copy()
-        for x in (d,) + nb:
-            rest.remove(x)
-        if tuple(sorted(rest + [x - 1 for x in nb])) < pdeg:
-            return True
-    return False
+def _deletion_below(codes: list[int]) -> bool:
+    """Whether deleting some vertex of the graph with vertex ``codes`` gives a
+    smaller degree sequence than deleting its last vertex."""
+    return max(codes) >> 4 > codes[-1] >> 4
 
 
-def _parent_is_canonical(n: int, child: tuple[int, ...], pdeg: tuple[int, ...], pcols: list[int]) -> bool:
-    """Whether the parent (with degree sequence pdeg and minimal columns
-    pcols) that ``child`` was built from by adding vertex n - 1 is the
+def _stable_cells(adj: tuple[int, ...], colour: list[int]) -> list[int]:
+    """Cells of the stable colour refinement that starts from ``colour``, as
+    vertex masks in the order of their colour names.
+
+    Each round renames a vertex by the rank of its signature (own colour,
+    multiset of neighbour colours) among the sorted signatures, so the names
+    do not depend on the labelling when the starting colours do not.
+    """
+    n = len(adj)
+    shift = 4 * n
+    names = sorted(set(colour))
+    while True:
+        rank = {c: i for i, c in enumerate(names)}
+        colour = [rank[c] for c in colour]
+        if len(names) == n:
+            break
+        signature = []
+        for v, row in enumerate(adj):
+            sig = colour[v] << shift
+            while row:
+                b = row & -row
+                row ^= b
+                sig += 1 << 4 * colour[b.bit_length() - 1]
+            signature.append(sig)
+        finer = sorted(set(signature))
+        if len(finer) == len(names):
+            break
+        colour, names = signature, finer
+    cells = [0] * len(names)
+    for v, c in enumerate(colour):
+        cells[c] |= 1 << v
+    return cells
+
+
+def _class_key(adj: tuple[int, ...], codes: list[int]) -> tuple[int, ...]:
+    """A complete isomorphism invariant of graphs of one order: the minimal
+    columns over the orderings that place the stable cells in name order.
+
+    Equal columns make the two orderings an isomorphism. Isomorphic graphs
+    have the same named cells, hence the same orderings up to relabeling and
+    the same minimum. Twins share a stable colour, so the twin skip holds.
+    Only equality is meaningful; ``_canonical_bytes`` gives the order.
+    """
+    return tuple(_minimal_columns(len(adj), adj, cells=_stable_cells(adj, codes)))
+
+
+def _parent_is_canonical(n: int, child: tuple[int, ...], codes: list[int], pcols: list[int]) -> bool:
+    """Whether the parent (with minimal columns pcols) that ``child`` (with
+    vertex codes ``codes``) was built from by adding vertex n - 1 is the
     child's canonical parent: no single-vertex deletion reaches a class with
     a smaller (degree sequence, canonical form) key. Deleting n - 1 gives
-    the parent back, so it is not tried."""
-    degs = [row.bit_count() for row in child]
+    the parent back, so it is not tried; a deletion with a larger change
+    than that one has a smaller degree sequence than the parent."""
+    own = codes[-1] >> 4
     for v in range(n - 1):
-        row = child[v]
-        ds = tuple(sorted(degs[w] - (row >> w & 1) for w in range(n) if w != v))
-        smaller = ds == pdeg and _minimal_columns(n - 1, _delete_vertex_rows(n, child, v), pcols) is not None
-        if ds < pdeg or smaller:
+        change = codes[v] >> 4
+        smaller = change == own and _minimal_columns(n - 1, _delete_vertex_rows(n, child, v), pcols) is not None
+        if change > own or smaller:
             return False
     return True
 
 
 @lru_cache(maxsize=None)
 def _representatives(n: int) -> tuple[Graph, ...]:
-    if n > 8:
-        raise GraphError("exhaustive generation limited to n <= 8")
+    if n > 9:
+        raise GraphError("exhaustive generation limited to n <= 9")
     if n < 1:
         raise GraphError("generation starts at order 1")
     if n == 1:
         return (_trusted(1, (0,)),)
 
     out: list[Graph] = []
+    new = n - 1
     for parent in _representatives(n - 1):
-        pdeg = _degree_sequence(parent.adj)
-        pcols = _minimal_columns(n - 1, parent.adj)
+        padj = parent.adj
+        pcols = _minimal_columns(n - 1, padj)
+        codes_of = _attachment_codes(n, padj)
         # swapping twins u < w of the parent is an automorphism, so a child
         # attached to w and not u is isomorphic to a smaller attachment in the
         # same bucket; skipping it keeps the first-seen member of every class
-        twins = [(1 << u, 1 << w) for u in range(n - 1) for w in range(u + 1, n - 1)
-                 if parent.adj[u] & ~(1 << u | 1 << w) == parent.adj[w] & ~(1 << u | 1 << w)]
-        # bucket the children of this parent by a cheap invariant; the
-        # buckets' first-seen order is the output order
-        buckets: dict[tuple, list[tuple[int, ...]]] = {}
-        for attach in range(1 << (n - 1)):
-            if any(attach & wb and not attach & ub for ub, wb in twins):
-                continue
-            rows = tuple(
-                row | ((attach >> v & 1) << (n - 1)) for v, row in enumerate(parent.adj)
-            ) + (attach,)
-            buckets.setdefault(_refinement_key(rows), []).append(rows)
-        for key, members in buckets.items():
-            # the degree test and the key are isomorphism invariants, so
-            # dropping a bucket keeps the first-seen member of every class
-            if _deletion_below(key, pdeg):
-                continue
-            if len(members) > 1:
-                seen: dict[bytes, tuple[int, ...]] = {}
-                for rows in members:
-                    seen.setdefault(_canonical_bytes(n, rows), rows)
-                members = list(seen.values())
+        attaches: Iterable[int] = range(1 << new)
+        for u in range(new):
+            for w in range(u + 1, new):
+                if padj[u] & ~(1 << u | 1 << w) == padj[w] & ~(1 << u | 1 << w):
+                    attaches = [a for a in attaches if not a >> w & 1 or a >> u & 1]
+        # bucket the children of this parent by their sorted vertex codes; the
+        # buckets' first-seen order is the output order. The degree test is
+        # an isomorphism invariant and the same on a whole bucket, so testing
+        # each child before bucketing drops whole buckets and keeps the
+        # first-seen order of the others
+        buckets: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+        for attach in attaches:
+            codes = codes_of(attach)
+            if not _deletion_below(codes):
+                buckets.setdefault(tuple(sorted(codes)), []).append((attach, codes))
+        for members in buckets.values():
+            children = [
+                (tuple(row | (attach >> v & 1) << new for v, row in enumerate(padj)) + (attach,), codes)
+                for attach, codes in members
+            ]
+            if len(children) > 1:
+                seen: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
+                for rows, codes in children:
+                    seen.setdefault(_class_key(rows, codes), (rows, codes))
+                children = list(seen.values())
             out.extend(
-                _trusted(n, rows) for rows in members if _parent_is_canonical(n, rows, pdeg, pcols)
+                _trusted(n, rows) for rows, codes in children if _parent_is_canonical(n, rows, codes, pcols)
             )
     return tuple(out)
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of order n (n <= 8).
+    """One representative per isomorphism class of order n (n <= 9).
 
     Deterministic stream order: parents in generation order; each parent's
     children in the first-seen order of their refinement-key buckets over
     attachments 0 .. 2^(n-1) - 1; within a bucket, classes in the order of
-    their first-seen member, which is the representative. A class is kept
-    under the parent whose (degree sequence, canonical form) key is the
-    smallest over the child's one-vertex deletions.
+    their first-seen member, which is the representative. Members of a
+    bucket are compared by ``_class_key``, which is equal exactly for
+    isomorphic graphs. A class is kept under the parent whose (degree
+    sequence, canonical form) key is the smallest over the child's
+    one-vertex deletions.
     """
     yield from _representatives(n)
 

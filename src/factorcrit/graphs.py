@@ -333,7 +333,7 @@ def add_edge(g: Graph, e: tuple[int, int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# connectivity by exhaustive cut enumeration (intended for n <= 16)
+# connectivity: vertex cuts by enumeration, edge cuts by augmenting paths
 # ---------------------------------------------------------------------------
 
 
@@ -388,24 +388,45 @@ def is_k_connected(g: Graph, k: int) -> bool:
 def is_k_edge_connected(g: Graph, k: int) -> bool:
     """No edge cut of size < k disconnects the graph, and n > k.
 
-    Exhaustive over vertex bipartitions: the minimum edge cut equals the
-    smallest boundary e(S, V-S) over nonempty proper S.
+    By Menger's theorem: every cut separates vertex 0 from some vertex t, so
+    the graph is k-edge-connected exactly when k edge-disjoint paths join 0
+    to every other t. Each t takes at most k augmenting paths of unit
+    capacity, found by BFS in the residual graph.
     """
     if k < 0:
         raise GraphError("connectivity order must be nonnegative")
     n = g.n
     if n <= k:
         return False
-    if n <= 1:
-        return True
     adj = g.adj
-    full = g.vertex_mask
-    # fixing vertex 0 on one side halves the bipartition count
-    for half in range(1 << (n - 1)):
-        side = half << 1 | 1
-        if side == full:
-            continue
-        cut = sum((adj[v] & ~side).bit_count() for v in bits(side))
-        if cut < k:
-            return False
+    for t in range(1, n):
+        # flow[u]: the vertices that u sends one unit to
+        flow = [0] * n
+        for _ in range(k):
+            parent = {0: 0}
+            frontier = [0]
+            while frontier and t not in parent:
+                nxt = []
+                for u in frontier:
+                    # an edge has spare capacity from u unless u already
+                    # sends along it; cancelling an opposite unit counts
+                    free = adj[u] & ~flow[u]
+                    while free:
+                        b = free & -free
+                        free ^= b
+                        v = b.bit_length() - 1
+                        if v not in parent:
+                            parent[v] = u
+                            nxt.append(v)
+                frontier = nxt
+            if t not in parent:
+                return False
+            v = t
+            while v:
+                u = parent[v]
+                if flow[v] >> u & 1:
+                    flow[v] ^= 1 << u
+                else:
+                    flow[u] |= 1 << v
+                v = u
     return True

@@ -45,6 +45,13 @@ class TestAnalyze:
         rec = json.loads(out)
         assert rec["is_kfc"] and rec["min_degree"] == 2
 
+    def test_large_kfc_returns(self, capsys):
+        # the connectivity check used to walk 2^(n-1) vertex bipartitions
+        code, out, _ = run(capsys, "analyze", "--graph", to_graph6(cycle_graph(31)), "--k", "1", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["is_kfc"] and rec["is_minimal"] and rec["connectivity_ok"]
+
     def test_c6_parity_note(self, capsys):
         code, out, _ = run(capsys, "analyze", "--graph", C6, "--k", "1")
         assert code == 0
@@ -152,7 +159,7 @@ class TestVerify:
         assert code == 2
 
     def test_oversize_exit_2(self, capsys):
-        code, _, _ = run(capsys, "verify", "--n", "9", "--k", "1", "--source", "all")
+        code, _, _ = run(capsys, "verify", "--n", "10", "--k", "2", "--source", "all")
         assert code == 2
 
     @pytest.mark.parametrize("samples", ["0", "-3"])

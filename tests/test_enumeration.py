@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from functools import lru_cache
 from itertools import combinations
 
@@ -27,11 +28,11 @@ from factorcrit import (
     to_graph6,
 )
 from factorcrit.enumeration import (
+    _attachment_codes,
     _canonical_bytes,
-    _degree_sequence,
+    _class_key,
     _deletion_below,
     _minimal_columns,
-    _refinement_key,
     _representatives,
 )
 from factorcrit.graphs import _delete_vertex_rows, _trusted
@@ -48,6 +49,92 @@ GRAPH6_STREAM_SHA256 = {
     7: "adbfb0cf959a374a61a226d8839085f317684de29698ae1f8c34e60256b43c90",
     8: "f09886b7e5a4215526268a89c1cced3c9b04a70f661add7dab289b27f2a693a7",
 }
+# the same for n = 9, recorded with the order cap raised and nothing else
+# changed
+ORDER_9_SHA256 = "c10e34212e8fa440dd1841b425b5d649d1e038ddca53a9faa836589a920b3ec7"
+
+
+def _degree_sequence(adj: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(row.bit_count() for row in adj))
+
+
+def _refinement_key(adj: tuple[int, ...]) -> tuple:
+    """One refinement round from scratch: sorted (degree, sorted neighbor
+    degrees). Oracle for the bucket key built from vertex codes."""
+    degs = [row.bit_count() for row in adj]
+    out = []
+    for v, row in enumerate(adj):
+        nb = []
+        while row:
+            b = row & -row
+            row ^= b
+            nb.append(degs[b.bit_length() - 1])
+        nb.sort()
+        out.append((degs[v], tuple(nb)))
+    out.sort()
+    return tuple(out)
+
+
+def scratch_codes(adj: tuple[int, ...]) -> list[int]:
+    """Vertex codes by their definition: 16 * change(v) + deg v, where
+    change(v) = 15 * (sum of digit(deg w) over w ~ v) - digit(deg v) and
+    digit(d) = 16 ** (n - 1 - d)."""
+    n = len(adj)
+    degs = [row.bit_count() for row in adj]
+    digit = [16 ** (n - 1 - d) for d in range(n)]
+    return [
+        16 * (15 * sum(digit[degs[w]] for w in bits(row)) - digit[degs[v]]) + degs[v]
+        for v, row in enumerate(adj)
+    ]
+
+
+def child_rows(parent: tuple[int, ...], attach: int) -> tuple[int, ...]:
+    m = len(parent)
+    return tuple(row | ((attach >> v & 1) << m) for v, row in enumerate(parent)) + (attach,)
+
+
+def class_key(adj: tuple[int, ...]) -> tuple[int, ...]:
+    return _class_key(adj, scratch_codes(adj))
+
+
+def burnside_edge_counts(n: int) -> list[int]:
+    """Graphs of order n by edge count (OEIS A008406 row n), by Burnside's
+    lemma: each permutation of cycle type (c_1, c_2, ...) fixes the edge
+    sets that are unions of its cycles on vertex pairs, and a class of that
+    type holds n! / prod(i ** a_i * a_i!) permutations."""
+
+    def partitions(rest: int, largest: int):
+        if rest == 0:
+            yield []
+        for part in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield [part] + tail
+
+    pairs = n * (n - 1) // 2
+    total = [0] * (pairs + 1)
+    for cycles in partitions(n, n):
+        lengths = []
+        for idx, i in enumerate(cycles):
+            # pairs inside one i-cycle; an even cycle also swaps its antipodes
+            lengths += [i] * ((i - 1) // 2) + ([i // 2] if i % 2 == 0 else [])
+            for j in cycles[idx + 1:]:
+                lengths += [math.lcm(i, j)] * math.gcd(i, j)
+        poly = [1] + [0] * pairs
+        for length in lengths:
+            poly = [c + (poly[m - length] if m >= length else 0) for m, c in enumerate(poly)]
+        size = math.factorial(n)
+        for i in set(cycles):
+            a = cycles.count(i)
+            size //= i**a * math.factorial(a)
+        total = [t + size * c for t, c in zip(total, poly)]
+    return [t // math.factorial(n) for t in total]
+
+
+def edge_histogram(n: int, graphs) -> list[int]:
+    hist = [0] * (n * (n - 1) // 2 + 1)
+    for g in graphs:
+        hist[g.edge_count()] += 1
+    return hist
 
 
 def dedupe_oracle(n: int) -> int:
@@ -173,7 +260,7 @@ class TestAllGraphs:
 
     def test_rejects_large(self):
         with pytest.raises(GraphError):
-            next(all_graphs(9))
+            next(all_graphs(10))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_reference_generator(self, n):
@@ -183,6 +270,17 @@ class TestAllGraphs:
         for n, digest in GRAPH6_STREAM_SHA256.items():
             stream = "".join(to_graph6(g) + "\n" for g in reps8[n]).encode()
             assert hashlib.sha256(stream).hexdigest() == digest, f"n={n}"
+
+    def test_edge_histograms_match_burnside(self, reps8):
+        for n, graphs in reps8.items():
+            assert edge_histogram(n, graphs) == burnside_edge_counts(n), f"n={n}"
+
+    def test_order_9(self):
+        reps = tuple(all_graphs(9))
+        assert len(reps) == 274_668
+        assert edge_histogram(9, reps) == burnside_edge_counts(9)
+        stream = "".join(to_graph6(g) + "\n" for g in reps).encode()
+        assert hashlib.sha256(stream).hexdigest() == ORDER_9_SHA256
 
 
 class TestGenerationPredicates:
@@ -212,25 +310,71 @@ class TestGenerationPredicates:
                 assert least <= below < bound
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 7), st.sampled_from((0.2, 0.5, 0.8)), st.integers(0, 10**6))
+    @given(st.integers(1, 8), st.sampled_from((0.2, 0.5, 0.8)), st.integers(0, 10**6))
     def test_bucket_degree_test_matches_deletions(self, m, p, seed):
         parent = random_graph(m, p, seed).adj
         pdeg = _degree_sequence(parent)
         n = m + 1
-        buckets: dict[tuple, list[tuple[int, ...]]] = {}
+        codes_of = _attachment_codes(n, parent)
         for attach in range(1 << m):
-            rows = tuple(row | ((attach >> v & 1) << m) for v, row in enumerate(parent)) + (attach,)
-            buckets.setdefault(_refinement_key(rows), []).append(rows)
-        for key, members in buckets.items():
-            # the parent's degree sequence, and each deletion's of the first
-            # member as a bound that some deletions meet exactly
-            first = members[0]
-            bounds = {pdeg} | {_degree_sequence(_delete_vertex_rows(n, first, v)) for v in range(n)}
-            for bound in bounds:
-                below = _deletion_below(key, bound)
-                for rows in members:
-                    degseqs = [_degree_sequence(_delete_vertex_rows(n, rows, v)) for v in range(n)]
-                    assert below == (min(degseqs) < bound)
+            rows = child_rows(parent, attach)
+            degseqs = [_degree_sequence(_delete_vertex_rows(n, rows, v)) for v in range(n)]
+            assert _deletion_below(codes_of(attach)) == (min(degseqs) < pdeg)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from((0.2, 0.5, 0.8)), st.integers(0, 10**6))
+    def test_incremental_codes_match_scratch(self, m, p, seed):
+        parent = random_graph(m, p, seed).adj
+        codes_of = _attachment_codes(m + 1, parent)
+        for attach in range(1 << m):
+            assert codes_of(attach) == scratch_codes(child_rows(parent, attach))
+
+    def test_bucket_key_partition_matches_oracle(self, graphs_by_order):
+        # every attachment of every parent of one order: the sorted codes and
+        # the from-scratch refinement key must split them the same way
+        for m in range(1, 7):
+            pairs = set()
+            for parent in graphs_by_order[m]:
+                codes_of = _attachment_codes(m + 1, parent.adj)
+                for attach in range(1 << m):
+                    key = tuple(sorted(codes_of(attach)))
+                    pairs.add((key, _refinement_key(child_rows(parent.adj, attach))))
+            assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs}), f"m={m}"
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return graph_from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def cube() -> Graph:
+    return graph_from_edges(8, [(u, u ^ 1 << i) for u in range(8) for i in range(3) if u < u ^ 1 << i])
+
+
+class TestClassKey:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 9), st.sampled_from((0.2, 0.5, 0.8)), st.integers(0, 10**6))
+    def test_invariant_under_relabeling(self, data, n, p, seed):
+        g = random_graph(n, p, seed)
+        perm = data.draw(st.permutations(list(range(n))))
+        assert class_key(permute(g, perm).adj) == class_key(g.adj)
+
+    def test_equal_exactly_when_canonical_forms_equal(self, graphs_by_order, reps8):
+        # refinement splits none of the regular graphs of order 8, so their
+        # keys rest on the cell-ordered search alone
+        regular8 = [g for g in reps8[8] if len({row.bit_count() for row in g.adj}) == 1]
+        named = (complete_bipartite(4, 4), cube(), cycle_graph(8))
+        assert {canonical_form(g) for g in named} <= {canonical_form(g) for g in regular8}
+        assert sum(1 for g in regular8 if g.adj[0].bit_count() == 3) == 6
+        rng = random.Random(8)
+        graphs = []
+        for g in [g for n in range(1, 8) for g in graphs_by_order[n]] + regular8 + list(named):
+            graphs.append(g)
+            for _ in range(2):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                graphs.append(permute(g, perm))
+        pairs = {(class_key(g.adj), _canonical_bytes(g.n, g.adj)) for g in graphs}
+        assert len({key for key, _ in pairs}) == len(pairs) == len({form for _, form in pairs})
 
 
 class TestRandomGraph:

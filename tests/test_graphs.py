@@ -243,6 +243,22 @@ class TestMutation:
             delete_vertices(complete_graph(3), mask_of([3]))
 
 
+def bipartition_edge_connected(g: Graph, k: int) -> bool:
+    """Oracle for ``is_k_edge_connected``: the minimum edge cut is the
+    smallest boundary e(S, V - S) over the 2^(n-1) bipartitions that put
+    vertex 0 in S."""
+    n = g.n
+    if n <= k:
+        return False
+    for half in range(1 << (n - 1)):
+        side = half << 1 | 1
+        if side == g.vertex_mask:
+            continue
+        if sum((g.adj[v] & ~side).bit_count() for v in bits(side)) < k:
+            return False
+    return True
+
+
 class TestDegreesAndConnectivity:
     def test_min_degree(self):
         assert min_degree(complete_graph(4)) == 3
@@ -276,6 +292,20 @@ class TestDegreesAndConnectivity:
         assert is_k_connected(g, 0)
         assert not is_k_connected(g, 1)
         assert not is_k_edge_connected(g, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graph_strategy(max_n=12), st.integers(0, 12))
+    def test_edge_connectivity_matches_bipartitions(self, spec, k):
+        n, edges = spec
+        g = graph_from_edges(n, edges)
+        assert is_k_edge_connected(g, k) == bipartition_edge_connected(g, k)
+
+    def test_edge_connectivity_of_dense_graphs(self):
+        # random_graph_strategy draws sparse graphs; these reach k = 5 and more
+        for g in (complete_graph(9), delete_edge(complete_graph(10), (0, 1)), petersen(),
+                  disjoint_cliques([5, 6])):
+            for k in range(g.n + 1):
+                assert is_k_edge_connected(g, k) == bipartition_edge_connected(g, k)
 
     def test_cut_vertex(self):
         g = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 2)])

@@ -10,11 +10,14 @@ reported witnesses are canonical.
 Edge tests do not sweep G - e again. One sweep of G keeps a perfect
 matching of G - S for every k-set S (:class:`_Witnesses`). Deleting uv
 breaks only the matchings that use uv, and with uv dropped u and v are the
-only exposed vertices, so one augmenting search from u either repairs such
-a matching or proves that G - uv - S has none (Berge's theorem). Every other
-S keeps its matching. The broken matchings are repaired in ascending order
-of S, so the first one that cannot be repaired is the lowest failing k-set
-of G - uv: the certificate a full sweep of G - uv would report.
+only exposed vertices. Any augmenting path repairs such a matching (Berge's
+theorem), so the three-edge path u - a = b - v is tried first: a is the
+lowest neighbour of u whose mate b is adjacent to v. Only when no such a
+exists does one blossom search from u run, which either repairs the matching
+or proves that G - uv - S has none. Every other S keeps its matching. The
+broken matchings are repaired in ascending order of S, so the first one that
+cannot be repaired is the lowest failing k-set of G - uv: the certificate a
+full sweep of G - uv would report.
 """
 
 from __future__ import annotations
@@ -70,14 +73,26 @@ class _Witnesses:
         adj = self.adj.copy()
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
+        av = adj[v]
         repaired = []
         for i, (s, match) in enumerate(self.table):
             if match[u] != v:
                 continue
             m = match.copy()
-            m[u] = m[v] = -1
-            if not _find_augmenting(n, adj, full & ~s, m, u):
-                return s
+            sub = full & ~s
+            row = adj[u] & sub
+            while row:  # the path u - a = b - v, a the lowest neighbour that has one
+                bit = row & -row
+                row ^= bit
+                a = bit.bit_length() - 1
+                b = m[a]
+                if av >> b & 1:
+                    m[u], m[a], m[b], m[v] = a, u, v, b
+                    break
+            else:
+                m[u] = m[v] = -1
+                if not _find_augmenting(n, adj, sub, m, u):
+                    return s
             repaired.append((i, s, m))
         if commit:
             self.adj = adj
@@ -219,11 +234,14 @@ def minimalize(g: Graph, k: int, seed: int) -> Graph:
     G - e is not k-FC, no spanning subgraph of it is, so an edge refused
     once stays undeletable after later deletions. Each test repairs, in
     ascending order of S, only the kept perfect matchings of G - S that use
-    the edge (see the module docstring). The first S that cannot be repaired
-    is the lowest failing k-set of G - e, so the test decides exactly what a
-    full sweep of G - e decides, and certificates stay canonical. A
-    deletion and its repaired matchings are committed only when every repair
-    succeeds. Deterministic given (g, k, seed).
+    the edge: by a three-edge alternating path between its endpoints when
+    one exists, else by a blossom search (see the module docstring). Which
+    path repairs a matching does not change whether G - e - S has a perfect
+    matching, and the first S that cannot be repaired is the lowest failing
+    k-set of G - e, so the test decides exactly what a full sweep of G - e
+    decides, and certificates stay canonical. A deletion and its repaired
+    matchings are committed only when every repair succeeds. Deterministic
+    given (g, k, seed).
 
     Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """

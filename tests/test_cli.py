@@ -213,6 +213,16 @@ class TestVerify:
         assert records and all(r["is_minimal"] for r in records)
         assert all(r["min_degree"] == 3 for r in records)
 
+    def test_sample_k_is_n_minus_10_at_14(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--n", "14", "--k", "4", "--source", "sample",
+            "--samples", "100", "--seed", "0", "--format", "json",
+        )
+        assert code == 0 and "failures=0" in err
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records and all(r["is_minimal"] for r in records)
+        assert all(r["min_degree"] == 5 for r in records)
+
     def test_jobs_do_not_change_output(self, capsys):
         _, single, _ = run(
             capsys, "verify", "--n", "6", "--k", "2", "--source", "all", "--format", "json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -30,8 +31,10 @@ from factorcrit import (
     random_graph,
     to_graph6,
 )
+from factorcrit import criticality
 from factorcrit.cli import main
 from factorcrit.criticality import _edge_deletable, _Witnesses
+from factorcrit.matching import _find_augmenting, _first_failing_subset
 from conftest import disjoint_cliques, petersen
 
 
@@ -251,6 +254,30 @@ def dense_cases(draw) -> tuple[Graph, int]:
     return graph_from_edges(n, [e for e in pairs if e not in missing]), k
 
 
+@st.composite
+def sparse_cases(draw) -> tuple[Graph, int]:
+    """(g, k) with n <= 12, k <= 4, n + k even and g = G(n, p) for p from
+    0.45 to 0.95. At the low end the three-edge repair path is often
+    missing, and the blossom search then both repairs and fails."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.sampled_from([k for k in range(5) if k < n and (n + k) % 2 == 0]))
+    p = draw(st.sampled_from((0.45, 0.5, 0.55, 0.6, 0.65, 0.8, 0.95)))
+    return random_graph(n, p, draw(st.integers(0, 2**32 - 1))), k
+
+
+def _assert_table_perfect(w: _Witnesses) -> None:
+    """Every kept match array is a perfect matching of the current G - S."""
+    current = w.graph()
+    for s, match in w.table:
+        for v in range(current.n):
+            if s >> v & 1:
+                assert match[v] == -1
+            else:
+                u = match[v]
+                assert u != -1 and not s >> u & 1
+                assert match[u] == v and current.has_edge(u, v)
+
+
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -304,18 +331,49 @@ class TestWitnessRepair:
         order = g.edges()
         SplitMix64(seed).shuffle(order)
         for e in order:
-            if not _edge_deletable(w, e):
-                continue
-            current = w.graph()
-            assert [s for s, _ in w.table] == every_k_set
-            for s, match in w.table:
-                for v in range(g.n):
-                    if s >> v & 1:
-                        assert match[v] == -1
-                    else:
-                        u = match[v]
-                        assert u != -1 and not s >> u & 1
-                        assert match[u] == v and current.has_edge(u, v)
+            if _edge_deletable(w, e):
+                assert [s for s, _ in w.table] == every_k_set
+                _assert_table_perfect(w)
+
+    def test_repairs_match_scratch_sweep(self, monkeypatch):
+        """Every edge test of a committed deletion pass equals a sweep of
+        G - e from scratch, and both repairs occur: the three-edge path, and
+        the blossom search when there is none, which succeeds or fails."""
+        counts = Counter()
+
+        def counting(n, adj, sub, match, root):
+            found = _find_augmenting(n, adj, sub, match, root)
+            counts["search found" if found else "search failed"] += 1
+            return found
+
+        monkeypatch.setattr(criticality, "_find_augmenting", counting)
+
+        @settings(max_examples=400, deadline=None)
+        @given(sparse_cases(), SEEDS)
+        def check(case, seed):
+            g, k = case
+            w = _Witnesses(g, k)
+            if w.failing is not None:
+                return
+            counts["k-FC graphs"] += 1
+            order = g.edges()
+            SplitMix64(seed).shuffle(order)
+            for u, v in order:
+                current = w.graph()
+                want = _first_failing_subset(g.n, delete_edge(current, (u, v)).adj, g.vertex_mask, k)
+                broken = [s for s, match in w.table if match[u] == v]
+                searches = counts["search found"] + counts["search failed"]
+                got = w.failing_without(u, v, commit=True)
+                assert got == want
+                searched = counts["search found"] + counts["search failed"] - searches
+                repaired = len(broken) if got is None else sum(s <= got for s in broken)
+                counts["path repairs"] += repaired - searched
+                if got is None:
+                    _assert_table_perfect(w)
+
+        check()
+        assert counts["k-FC graphs"] >= 50
+        assert counts["path repairs"] and counts["search found"] and counts["search failed"]
 
 
 class TestConnectivityProperties:

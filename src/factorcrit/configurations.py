@@ -152,9 +152,9 @@ class ClassificationResult:
 def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
     """Classify a deficient 10-vertex graph with designated missing edge.
 
-    Every barrier witness X with |X| <= 4, exactly |X| + 2 components, and
-    u, v in distinct components is mapped to its table row. Entries keep the
-    (|X|, bitmask) search order, so the first one is canonical.
+    Every barrier witness X with |X| <= 4 is mapped to its table row: the
+    preconditions force deficiency 2, so each one qualifies. Entries keep
+    the (|X|, bitmask) search order, so the first one is canonical.
     """
     if h.n != 10:
         raise GraphError(f"classification needs order 10, got {h.n}")
@@ -180,19 +180,13 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
             "graph plus designated edge has a vertex of degree <= 1",
         )
 
-    ubit, vbit = 1 << u, 1 << v
+    # h + uv has a perfect matching, so h has deficiency 2: by Tutte-Berge each
+    # witness leaves exactly |X| + 2 components, with u and v in two distinct
+    # ones (otherwise they would still block every perfect matching of h + uv)
     entries = []
     for w in find_barrier_witnesses(h, 4):
-        if len(w.components) != w.x.bit_count() + 2:
-            continue
-        u_comp = v_comp = 0
-        for comp in w.components:
-            if comp.vertices & ubit:
-                u_comp = comp.vertices
-            if comp.vertices & vbit:
-                v_comp = comp.vertices
-        if not u_comp or not v_comp or u_comp == v_comp:
-            continue
+        u_comp = next(c.vertices for c in w.components if c.vertices >> u & 1)
+        v_comp = next(c.vertices for c in w.components if c.vertices >> v & 1)
         x_size = w.x.bit_count()
         sizes = tuple(sorted(c.vertices.bit_count() for c in w.components))
         ends = tuple(sorted((u_comp.bit_count(), v_comp.bit_count())))
@@ -322,12 +316,12 @@ def build_instance(
 def _check_built(host: Graph, e: Edge, s_e: VertexSet) -> None:
     core = core_graph(host, e, s_e)
     if has_perfect_matching(core):
-        raise AssertionError("built core unexpectedly has a perfect matching")
+        raise RuntimeError("built core unexpectedly has a perfect matching")
     plus = add_edge(core, e)
     if not has_perfect_matching(plus):
-        raise AssertionError("built core plus designated edge lacks a perfect matching")
+        raise RuntimeError("built core plus designated edge lacks a perfect matching")
     if min_degree(plus) <= 1:
-        raise AssertionError("built core plus designated edge has a pendant vertex")
+        raise RuntimeError("built core plus designated edge has a pendant vertex")
 
 
 def core_graph(host: Graph, e: Edge, s_e: VertexSet) -> Graph:

@@ -91,7 +91,7 @@ class _Witnesses:
                     break
             else:
                 m[u] = m[v] = -1
-                if not _find_augmenting(n, adj, sub, m, u):
+                if _find_augmenting(n, adj, sub, m, u):
                     return s
             repaired.append((i, s, m))
         if commit:

@@ -3,7 +3,9 @@
 A graph is factor-critical when it is 1-factor-critical: it has odd order
 and deleting any one vertex leaves a perfect matching. The test is the k = 1
 case of the k-subset sweep in :mod:`.matching`, run on the vertex set in
-question, so a component of G - X is tested in place.
+question, so a component of G - X is tested in place. The Gallai-Edmonds
+decomposition comes from one maximum matching and the stuck blossom searches
+from its exposed vertices.
 
 A barrier witness is a vertex set X whose removal leaves only factor-critical
 components, at least |X| + 2 of them; one exists in every graph of deficiency
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, VertexSet, _components_masked, _k_subsets_ascending, bits
-from .matching import _first_failing_subset, _has_pm, _matching_size
+from .matching import _find_augmenting, _first_failing_subset, _has_pm, _match_array
 
 
 def is_factor_critical(g: Graph) -> bool:
@@ -44,18 +46,17 @@ class GEDecomposition:
 
 
 def gallai_edmonds(g: Graph) -> GEDecomposition:
-    """Compute the decomposition definition-first, via n+1 matching calls.
-
-    A vertex is missed by some maximum matching iff deleting it drops the
-    deficiency by one.
-    """
+    """Read the decomposition off one maximum matching: the search from each
+    exposed vertex gets stuck, and D is the union of the outer vertices of
+    these trees, the ends of even alternating paths from exposed vertices
+    (Lovasz & Plummer, Matching Theory, 3.2). A and C follow from D."""
     n, adj = g.n, g.adj
     full = g.vertex_mask
-    base = _matching_size(n, adj, full)
+    match = _match_array(n, adj, full)
     d = 0
     for v in range(n):
-        if _matching_size(n, adj, full ^ (1 << v)) == base:
-            d |= 1 << v
+        if match[v] == -1:
+            d |= _find_augmenting(n, adj, full, match, v)
     a = 0
     for v in bits(d):
         a |= adj[v]

@@ -41,8 +41,12 @@ class Matching:
 # ---------------------------------------------------------------------------
 
 
-def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], root: int) -> bool:
+def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], root: int) -> int:
     """Grow an alternating tree from ``root``; augment on success.
+
+    Returns 0 after augmenting; a stuck search leaves ``match`` unchanged and
+    returns the mask of its outer vertices, the ends of the even alternating
+    paths from ``root`` (``root`` among them, so never 0).
 
     Classic array-based search with blossom contraction tracked through a
     ``base`` array. Only vertices inside ``sub`` participate. A vertex
@@ -51,9 +55,7 @@ def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], r
     """
     parent = [-1] * n
     base = list(range(n))
-    used = [False] * n
-    used[root] = True
-    tree = 1 << root
+    outer = tree = 1 << root
     queue = [root]
     head = 0
     while head < len(queue):
@@ -91,8 +93,8 @@ def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], r
                     i = ibit.bit_length() - 1
                     if blossom >> base[i] & 1:
                         base[i] = cur
-                        if not used[i]:
-                            used[i] = True
+                        if not outer & ibit:
+                            outer |= ibit
                             queue.append(i)
             elif parent[to] == -1:
                 parent[to] = v
@@ -103,12 +105,12 @@ def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], r
                         match[prev] = to
                         match[to] = prev
                         to = nxt
-                    return True
+                    return 0
                 mate = match[to]
                 tree |= bit | (1 << mate)
-                used[mate] = True
+                outer |= 1 << mate
                 queue.append(mate)
-    return False
+    return outer
 
 
 def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool = False) -> list[int] | None:
@@ -137,7 +139,7 @@ def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool =
         bit = exposed & -exposed
         exposed ^= bit
         v = bit.bit_length() - 1
-        if match[v] == -1 and not _find_augmenting(n, adj, sub, match, v) and stop_on_exposed:
+        if match[v] == -1 and _find_augmenting(n, adj, sub, match, v) and stop_on_exposed:
             return None
     return match
 

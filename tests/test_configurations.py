@@ -20,6 +20,7 @@ from factorcrit import (
     deficiency,
     delete_edge,
     delete_vertices,
+    find_barrier_witnesses,
     graph_from_edges,
     has_perfect_matching,
     intersection_bounds,
@@ -30,6 +31,7 @@ from factorcrit import (
     random_graph,
     signature_table,
 )
+from factorcrit import configurations
 from conftest import disjoint_cliques, petersen
 
 ALL_LABELS = list(ConfigLabel)
@@ -144,6 +146,28 @@ class TestClassify:
                         assert entry.u_component & (1 << u)
                         assert entry.v_component & (1 << v)
 
+    def test_entries_are_every_witness(self):
+        # the preconditions force deficiency 2, so every witness with
+        # |X| <= 4 qualifies: the entries are all of them, in search order
+        pairs = 0
+        for seed in range(4000):
+            h = random_graph(10, (0.2, 0.25, 0.3, 0.35)[seed % 4], seed)
+            if has_perfect_matching(h):
+                continue
+            witnesses = None
+            for u in range(10):
+                for v in range(u + 1, 10):
+                    if h.has_edge(u, v):
+                        continue
+                    plus = add_edge(h, (u, v))
+                    if min_degree(plus) < 2 or not has_perfect_matching(plus):
+                        continue
+                    if witnesses is None:
+                        witnesses = find_barrier_witnesses(h, 4)
+                    assert [entry.witness for entry in classify(h, (u, v)).entries] == witnesses
+                    pairs += 1
+        assert pairs >= 300, pairs
+
 
 class TestBuildInstance:
     @pytest.mark.parametrize("label", ALL_LABELS)
@@ -186,6 +210,11 @@ class TestBuildInstance:
     def test_rejects_small_host(self):
         with pytest.raises(GraphError):
             build_instance(ConfigLabel.C1, 11)
+
+    def test_failed_self_check_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(configurations, "has_perfect_matching", lambda g: True)
+        with pytest.raises(RuntimeError, match="built core unexpectedly has a perfect matching"):
+            build_instance(ConfigLabel.C1, 12)
 
 
 class TestIntersectionBounds:

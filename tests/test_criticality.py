@@ -342,9 +342,9 @@ class TestWitnessRepair:
         counts = Counter()
 
         def counting(n, adj, sub, match, root):
-            found = _find_augmenting(n, adj, sub, match, root)
-            counts["search found" if found else "search failed"] += 1
-            return found
+            stuck = _find_augmenting(n, adj, sub, match, root)
+            counts["search failed" if stuck else "search found"] += 1
+            return stuck
 
         monkeypatch.setattr(criticality, "_find_augmenting", counting)
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factorcrit import decomp
 from factorcrit import (
     Graph,
     GraphError,
@@ -23,6 +26,7 @@ from factorcrit import (
     odd_components,
     random_graph,
 )
+from factorcrit.graphs import _components_masked
 from conftest import bowtie, disjoint_cliques
 
 STAR = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -106,25 +110,57 @@ class TestGallaiEdmonds:
         for g in all_graphs(8):
             assert gallai_edmonds(g).d == exposable_vertices(g)
 
+    @staticmethod
+    def assert_structure(g, ge):
+        """The Gallai-Edmonds structure theorem's consequences for (D, A, C)."""
+        assert ge.d | ge.a | ge.c == g.vertex_mask
+        assert ge.d & ge.a == 0 and (ge.d | ge.a) & ge.c == 0
+        # components of G[D] are factor-critical; G[C] has a perfect matching
+        d_comps = odd_components(g, g.vertex_mask & ~ge.d)[1]
+        for comp in d_comps:
+            keep, remap = delete_vertices_with_map(g, g.vertex_mask & ~comp)
+            assert is_factor_critical(keep)
+        c_graph = delete_vertices(g, g.vertex_mask & ~ge.c)
+        assert has_perfect_matching(c_graph)
+        # matching size formula via component count of G[D]
+        c_d = len(_components_masked(g.adj, ge.d))
+        size = (g.n - deficiency(g)) // 2
+        assert size == (g.n - c_d + ge.a.bit_count()) // 2
+
     def test_structure_random(self):
         for i in range(50):
             g = random_graph(10, (0.15, 0.3)[i % 2], i)
-            ge = gallai_edmonds(g)
-            assert ge.d | ge.a | ge.c == g.vertex_mask
-            assert ge.d & ge.a == 0 and (ge.d | ge.a) & ge.c == 0
-            # components of G[D] are factor-critical; G[C] has a perfect matching
-            d_comps = odd_components(g, g.vertex_mask & ~ge.d)[1]
-            for comp in d_comps:
-                keep, remap = delete_vertices_with_map(g, g.vertex_mask & ~comp)
-                assert is_factor_critical(keep)
-            c_graph = delete_vertices(g, g.vertex_mask & ~ge.c)
-            assert has_perfect_matching(c_graph)
-            # matching size formula via component count of G[D]
-            from factorcrit.graphs import _components_masked
+            self.assert_structure(g, gallai_edmonds(g))
 
-            c_d = len(_components_masked(g.adj, ge.d))
-            size = (g.n - deficiency(g)) // 2
-            assert size == (g.n - c_d + ge.a.bit_count()) // 2
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 16), st.sampled_from((0.1, 0.15, 0.2, 0.3, 0.5)), st.integers(0, 2**32), st.data())
+    def test_matches_oracle_relabeled(self, n, p, seed, data):
+        base = random_graph(n, p, seed)
+        perm = data.draw(st.permutations(range(n)))
+        g = graph_from_edges(n, [(perm[a], perm[b]) for a, b in base.edges()])
+        ge = gallai_edmonds(g)
+        assert ge.d == exposable_vertices(g)
+        self.assert_structure(g, ge)
+
+    def test_one_matching_one_search_per_exposed_vertex(self, monkeypatch):
+        calls = {"match": 0, "search": 0}
+
+        def counting_match(*args):
+            calls["match"] += 1
+            return match_array(*args)
+
+        def counting_search(*args):
+            calls["search"] += 1
+            return find_augmenting(*args)
+
+        match_array, find_augmenting = decomp._match_array, decomp._find_augmenting
+        monkeypatch.setattr(decomp, "_match_array", counting_match)
+        monkeypatch.setattr(decomp, "_find_augmenting", counting_search)
+        for i in range(200):
+            g = random_graph(1 + i % 16, (0.1, 0.2, 0.4)[i % 3], i)
+            calls.update(match=0, search=0)
+            gallai_edmonds(g)
+            assert calls == {"match": 1, "search": deficiency(g)}
 
 
 class TestBarrierWitnesses:

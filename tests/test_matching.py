@@ -278,6 +278,27 @@ def reference_match_array(n, adj, sub, stop_on_exposed=False):
     return match
 
 
+def even_alternating_reach(adj, sub, match, root):
+    """Oracle for a stuck search: the ends of every even alternating simple
+    path from ``root`` inside ``sub`` (first edge unmatched), found by
+    depth-first search over the paths, and whether any path augments."""
+    reach = 1 << root
+    augments = False
+
+    def walk(v, visited):
+        nonlocal reach, augments
+        for to in bits(adj[v] & sub & ~visited):
+            mate = match[to]
+            if mate == -1:
+                augments = True
+            elif not visited >> mate & 1:
+                reach |= 1 << mate
+                walk(mate, visited | (1 << to) | (1 << mate))
+
+    walk(root, 1 << root)
+    return reach, augments
+
+
 @contextmanager
 def watchdog(seconds: float = 1.0):
     """Turn a search that never ends into a failure: a broken contraction
@@ -329,6 +350,30 @@ class TestEngineIdentity:
                 got[u] = got[v] = -1
                 want = got.copy()
                 with watchdog():
-                    found = _find_augmenting(g.n, adj, sub, got, root)
-                assert found == reference_find_augmenting(g.n, adj, sub, want, root)
+                    outer = _find_augmenting(g.n, adj, sub, got, root)
+                assert (outer == 0) == reference_find_augmenting(g.n, adj, sub, want, root)
                 assert got == want
+                if outer:  # stuck: the outer vertices, root among them, inside sub
+                    assert outer >> root & 1 and outer & ~sub == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(), st.data())
+    def test_stuck_search_returns_even_reach(self, g, data):
+        # from every exposed root of a matching that is maximum, or maximum
+        # less one edge, against the path oracle on induced subgraphs, n <= 10
+        sub = data.draw(st.integers(0, g.vertex_mask)) & 0x3FF
+        match = reference_match_array(g.n, g.adj, sub)
+        matched = [u for u in bits(sub) if match[u] > u]
+        if matched and data.draw(st.booleans()):
+            u = data.draw(st.sampled_from(matched))
+            match[match[u]] = match[u] = -1
+        for root in bits(sub):
+            if match[root] != -1:
+                continue
+            got = match.copy()
+            with watchdog():
+                outer = _find_augmenting(g.n, g.adj, sub, got, root)
+            reach, augments = even_alternating_reach(g.adj, sub, match, root)
+            assert (outer == 0) == augments
+            if outer:
+                assert outer == reach and got == match

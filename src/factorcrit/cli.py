@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -67,8 +68,7 @@ class VerifySummary:
     scanned: int
     kfc: int
     minimal: int
-    failures: int
-    records: list[VerificationRecord]
+    counterexamples: list[str]  # graph6 of each failing record, in input order
 
 
 def _record_for(g: Graph, k: int, minimal: bool) -> VerificationRecord:
@@ -97,34 +97,44 @@ def _sample_worker(task: tuple[int, float, int, int]) -> VerificationRecord | No
     return _record_for(m, k, True)
 
 
-def _run_pool(worker, tasks: list, jobs: int) -> Iterable[VerificationRecord | None]:
-    if jobs <= 1:
-        return map(worker, tasks)
-    from multiprocessing import Pool  # about 0.6 MB of RSS; only --jobs > 1 needs it
-
-    pool = Pool(jobs)
-    chunk = max(1, len(tasks) // (jobs * 8))
-    try:
-        return list(pool.imap(worker, tasks, chunksize=chunk))
-    finally:
-        pool.close()
-        pool.join()
+def _format_record(rec: VerificationRecord, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(vars(rec)) + "\n"
+    if fmt == "tsv":
+        wit = json.dumps(rec.witness) if rec.witness else ""
+        return (
+            f"{rec.graph6}\t{rec.n}\t{rec.k}\t{rec.is_kfc}\t{rec.is_minimal}"
+            f"\t{rec.min_degree}\t{rec.verdict}\t{wit}\n"
+        )
+    # every record has order n, so its graph6 string has one fixed length
+    return (
+        f"{rec.graph6}  minimal={str(rec.is_minimal):<5}  "
+        f"min_degree={rec.min_degree}  verdict={rec.verdict}\n"
+    )
 
 
 def verify_scan(
     n: int,
     k: int,
     source: str,
+    out: TextIO,
+    fmt: str = "human",
     samples: int = 1000,
     seed: int = 0,
     p: float = DEFAULT_SAMPLE_P,
     jobs: int = 1,
 ) -> VerifySummary:
-    """Run a verification sweep; records appear in input order.
+    """Run a verification sweep, writing each record to ``out`` in ``fmt``.
 
     ``source`` is ``all``, ``file:PATH``, or ``sample``. Exhaustive scans
     need n <= 9; sampling draws graph i from seed + i and minimalizes the
     k-factor-critical ones with the same per-sample seed.
+
+    Every input check (the flags, the source, the n <= 9 cap, and the order
+    of every graph in a ``file:`` source) comes before the first byte is
+    written. Records are then written as they arrive, in input order, also
+    under ``jobs`` > 1 workers; only counts and the counterexamples' graph6
+    strings are kept.
     """
     if (n + k) % 2:
         raise GraphError(f"n + k must be even, got n={n}, k={k}")
@@ -138,64 +148,52 @@ def verify_scan(
         raise GraphError(f"edge probability {p} outside [0, 1]")
 
     if source == "sample":
-        tasks = [(n, p, k, seed + i) for i in range(samples)]
-        results = _run_pool(_sample_worker, tasks, jobs)
+        worker, chunk = _sample_worker, max(1, samples // (jobs * 8))
+        tasks: Iterable = ((n, p, k, seed + i) for i in range(samples))
     else:
         if source == "all":
             if n > 9:
                 raise GraphError("source=all is limited to n <= 9")
-            graphs = list(all_graphs(n))
+            graphs: Iterable[Graph] = all_graphs(n)
         elif source.startswith("file:"):
-            path = source[len("file:"):]
-            with open(path, "r", encoding="ascii") as fh:
+            with open(source[len("file:"):], "r", encoding="ascii") as fh:
                 graphs = list(read_graph6_stream(fh))
             bad = [g.n for g in graphs if g.n != n]
             if bad:
                 raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
         else:
             raise GraphError(f"unknown source {source!r}")
-        tasks = [(g, k) for g in graphs]
-        results = _run_pool(_scan_worker, tasks, jobs)
+        # the length of an exhaustive stream is not known up front
+        worker, chunk = _scan_worker, 256
+        tasks = ((g, k) for g in graphs)
 
-    records = []
-    kfc = minimal = failures = 0
-    for rec in results:
-        if rec is None:
-            continue
-        kfc += 1
-        minimal += 1 if rec.is_minimal else 0
-        failures += 1 if rec.verdict == "fail" else 0
-        records.append(rec)
-    return VerifySummary(
-        scanned=len(tasks), kfc=kfc, minimal=minimal, failures=failures, records=records,
-    )
+    pool = None
+    if jobs > 1:
+        from multiprocessing import Pool  # about 0.6 MB of RSS; only --jobs > 1 needs it
+
+        # forked before the first write, so no worker inherits buffered output
+        pool = Pool(jobs)
+    scanned = kfc = minimal = 0
+    counterexamples = []
+    # leaving the block terminates the workers, also when a record raises
+    with pool or nullcontext():
+        if fmt == "tsv":
+            out.write("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n")
+        for rec in pool.imap(worker, tasks, chunk) if pool else map(worker, tasks):
+            scanned += 1
+            if rec is None:
+                continue
+            out.write(_format_record(rec, fmt))
+            kfc += 1
+            minimal += rec.is_minimal
+            if rec.verdict == "fail":
+                counterexamples.append(rec.graph6)
+    return VerifySummary(scanned, kfc, minimal, counterexamples)
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
-
-
-def _emit_records(records: list[VerificationRecord], fmt: str, out: TextIO) -> None:
-    if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(vars(rec)) + "\n")
-    elif fmt == "tsv":
-        out.write("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n")
-        for rec in records:
-            wit = json.dumps(rec.witness) if rec.witness else ""
-            out.write(
-                f"{rec.graph6}\t{rec.n}\t{rec.k}\t{rec.is_kfc}\t{rec.is_minimal}"
-                f"\t{rec.min_degree}\t{rec.verdict}\t{wit}\n"
-            )
-    else:
-        if records:
-            width = max(len(r.graph6) for r in records)
-            for rec in records:
-                out.write(
-                    f"{rec.graph6:<{width}}  minimal={str(rec.is_minimal):<5}  "
-                    f"min_degree={rec.min_degree}  verdict={rec.verdict}\n"
-                )
 
 
 def _append_run_log(path: str, args: argparse.Namespace, digest: str, summary: VerifySummary) -> None:
@@ -211,7 +209,7 @@ def _append_run_log(path: str, args: argparse.Namespace, digest: str, summary: V
             "kfc": summary.kfc,
             "minimal": summary.minimal,
         },
-        "verdict": "fail" if summary.failures else "pass",
+        "verdict": "fail" if summary.counterexamples else "pass",
     }
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry) + "\n")
@@ -333,22 +331,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     summary = verify_scan(
-        n=args.n, k=args.k, source=args.source, samples=args.samples,
-        seed=args.seed, p=args.p, jobs=args.jobs,
+        n=args.n, k=args.k, source=args.source, out=sys.stdout, fmt=args.format,
+        samples=args.samples, seed=args.seed, p=args.p, jobs=args.jobs,
     )
-    _emit_records(summary.records, args.format, sys.stdout)
     summary_line = (
         f"scanned={summary.scanned} kfc={summary.kfc} "
-        f"minimal={summary.minimal} failures={summary.failures}"
+        f"minimal={summary.minimal} failures={len(summary.counterexamples)}"
     )
-    if args.format == "human":
-        print(summary_line)
-    else:
-        print(summary_line, file=sys.stderr)
-    if summary.failures:
-        for rec in summary.records:
-            if rec.verdict == "fail":
-                print(f"counterexample: {rec.graph6}", file=sys.stderr)
+    print(summary_line, file=sys.stdout if args.format == "human" else sys.stderr)
+    for g6 in summary.counterexamples:
+        print(f"counterexample: {g6}", file=sys.stderr)
     if args.log:
         import hashlib  # loads OpenSSL (about 3.7 MB of RSS); only the run log needs it
 
@@ -359,7 +351,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             desc = f"{args.source}:n={args.n}:k={args.k}:samples={args.samples}:p={args.p}:seed={args.seed}"
             digest = hashlib.sha256(desc.encode()).hexdigest()
         _append_run_log(args.log, args, digest, summary)
-    return EXIT_COUNTEREXAMPLE if summary.failures else EXIT_OK
+    return EXIT_COUNTEREXAMPLE if summary.counterexamples else EXIT_OK
 
 
 def _cmd_minimalize(args: argparse.Namespace) -> int:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from factorcrit import complete_graph, cycle_graph, parse_graph6, to_graph6
+from factorcrit import all_graphs, complete_graph, cycle_graph, min_degree, parse_graph6, to_graph6
+from factorcrit import cli
 from factorcrit.cli import main
 from conftest import disjoint_cliques
 
@@ -197,11 +198,21 @@ class TestVerify:
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 1 and records[0]["graph6"] == K6
 
-    def test_file_source_wrong_order_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("last, error", [
+        (K4, "input file contains graphs of order 4, expected 6"),
+        ("E~~~~", "line 157: oversized graph6 payload: 4 bytes, expected 3"),
+    ], ids=["order-4", "malformed"])
+    def test_file_source_bad_last_line_exit_2(self, capsys, tmp_path, last, error, jobs):
+        # every input check precedes the first byte, even the tsv header
         path = tmp_path / "graphs.g6"
-        path.write_text(K4 + "\n")
-        code, _, _ = run(capsys, "verify", "--n", "6", "--k", "2", "--source", f"file:{path}")
-        assert code == 2
+        path.write_text("".join(to_graph6(g) + "\n" for g in all_graphs(6)) + last + "\n")
+        code, out, err = run(
+            capsys, "verify", "--n", "6", "--k", "2", "--source", f"file:{path}",
+            "--format", "tsv", "--jobs", jobs,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
 
     def test_sample_source(self, capsys):
         code, out, _ = run(
@@ -223,15 +234,73 @@ class TestVerify:
         assert records and all(r["is_minimal"] for r in records)
         assert all(r["min_degree"] == 5 for r in records)
 
-    def test_jobs_do_not_change_output(self, capsys):
-        _, single, _ = run(
-            capsys, "verify", "--n", "6", "--k", "2", "--source", "all", "--format", "json"
-        )
-        _, multi, _ = run(
-            capsys, "verify", "--n", "6", "--k", "2", "--source", "all",
-            "--format", "json", "--jobs", "3",
-        )
+    @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
+    @pytest.mark.parametrize("source", ["all", "sample", "file"])
+    def test_jobs_do_not_change_output(self, capsys, tmp_path, source, fmt):
+        if source == "all":
+            args = ["--n", "6", "--k", "2", "--source", "all"]
+        elif source == "sample":
+            args = ["--n", "8", "--k", "2", "--source", "sample", "--samples", "12", "--seed", "5"]
+        else:
+            path = tmp_path / "graphs.g6"
+            path.write_text("".join(to_graph6(g) + "\n" for g in reversed(list(all_graphs(6)))))
+            args = ["--n", "6", "--k", "2", "--source", f"file:{path}"]
+        single = run(capsys, "verify", *args, "--format", fmt, "--jobs", "1")
+        multi = run(capsys, "verify", *args, "--format", fmt, "--jobs", "2")
         assert single == multi
+        code, out, _ = single
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
+    def test_counterexample_path(self, capsys, monkeypatch, tmp_path, fmt):
+        # report every graph as minimal 2-factor-critical: each one whose
+        # minimum degree is not 3 is then a counterexample
+        monkeypatch.setattr(cli, "kfc_and_minimal", lambda g, k: (True, True))
+        log = tmp_path / "runs.ndjson"
+        code, out, err = run(
+            capsys, "verify", "--n", "6", "--k", "2", "--source", "all",
+            "--format", fmt, "--jobs", "1", "--log", str(log),
+        )
+        graphs = list(all_graphs(6))
+        failing = [to_graph6(g) for g in graphs if min_degree(g) != 3]
+        assert len(graphs) == 156 and len(failing) == 141
+        assert code == 1
+
+        summary = "scanned=156 kfc=156 minimal=156 failures=141\n"
+        counterexamples = "".join(f"counterexample: {g6}\n" for g6 in failing)
+        lines = out.splitlines()
+        if fmt == "human":
+            assert lines.pop() + "\n" == summary
+            assert err == counterexamples
+        else:
+            assert err == summary + counterexamples
+        if fmt == "tsv":
+            assert lines.pop(0).split("\t")[-1] == "witness"
+        assert len(lines) == 156
+
+        for g, line in zip(graphs, lines):
+            g6, dmin = to_graph6(g), min_degree(g)
+            verdict = "pass" if dmin == 3 else "fail"
+            witness = None if dmin == 3 else {"min_degree": dmin, "expected": 3}
+            if fmt == "json":
+                assert json.loads(line) == {
+                    "graph6": g6, "n": 6, "k": 2, "is_kfc": True, "is_minimal": True,
+                    "min_degree": dmin, "verdict": verdict, "witness": witness,
+                }
+            elif fmt == "tsv":
+                wit = json.dumps(witness) if witness else ""
+                assert line == f"{g6}\t6\t2\tTrue\tTrue\t{dmin}\t{verdict}\t{wit}"
+            else:
+                assert line == f"{g6}  minimal=True   min_degree={dmin}  verdict={verdict}"
+        if fmt == "json":
+            assert lines[0] == (
+                '{"graph6": "E???", "n": 6, "k": 2, "is_kfc": true, "is_minimal": true, '
+                '"min_degree": 0, "verdict": "fail", "witness": {"min_degree": 0, "expected": 3}}'
+            )
+
+        entry = json.loads(log.read_text())
+        assert entry["counts"] == {"scanned": 156, "kfc": 156, "minimal": 156}
+        assert entry["verdict"] == "fail"
 
     def test_determinism_across_runs(self, capsys):
         args = ("verify", "--n", "7", "--k", "1", "--source", "sample",

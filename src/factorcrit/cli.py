@@ -14,6 +14,7 @@ timestamps appear only in the optional append-only run log.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -69,6 +70,7 @@ class VerifySummary:
     kfc: int
     minimal: int
     counterexamples: list[str]  # graph6 of each failing record, in input order
+    source_bytes: bytes | None  # a ``file:`` source as read and parsed
 
 
 def _record_for(g: Graph, k: int, minimal: bool) -> VerificationRecord:
@@ -134,7 +136,8 @@ def verify_scan(
     of every graph in a ``file:`` source) comes before the first byte is
     written. Records are then written as they arrive, in input order, also
     under ``jobs`` > 1 workers; only counts and the counterexamples' graph6
-    strings are kept.
+    strings are kept, and for a ``file:`` source the bytes that were read,
+    so that the run log hashes exactly what was scanned.
     """
     if (n + k) % 2:
         raise GraphError(f"n + k must be even, got n={n}, k={k}")
@@ -147,6 +150,7 @@ def verify_scan(
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability {p} outside [0, 1]")
 
+    data = None
     if source == "sample":
         worker, chunk = _sample_worker, max(1, samples // (jobs * 8))
         tasks: Iterable = ((n, p, k, seed + i) for i in range(samples))
@@ -156,8 +160,10 @@ def verify_scan(
                 raise GraphError("source=all is limited to n <= 9")
             graphs: Iterable[Graph] = all_graphs(n)
         elif source.startswith("file:"):
-            with open(source[len("file:"):], "r", encoding="ascii") as fh:
-                graphs = list(read_graph6_stream(fh))
+            with open(source[len("file:"):], "rb") as fh:
+                data = fh.read()
+            # decoded and split into lines as by a text-mode open
+            graphs = list(read_graph6_stream(io.TextIOWrapper(io.BytesIO(data), encoding="ascii")))
             bad = [g.n for g in graphs if g.n != n]
             if bad:
                 raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
@@ -188,7 +194,7 @@ def verify_scan(
             minimal += rec.is_minimal
             if rec.verdict == "fail":
                 counterexamples.append(rec.graph6)
-    return VerifySummary(scanned, kfc, minimal, counterexamples)
+    return VerifySummary(scanned, kfc, minimal, counterexamples, data)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +350,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.log:
         import hashlib  # loads OpenSSL (about 3.7 MB of RSS); only the run log needs it
 
-        if args.source.startswith("file:"):
-            with open(args.source[len("file:"):], "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+        if summary.source_bytes is not None:
+            digest = hashlib.sha256(summary.source_bytes).hexdigest()
         else:
             desc = f"{args.source}:n={args.n}:k={args.k}:samples={args.samples}:p={args.p}:seed={args.seed}"
             digest = hashlib.sha256(desc.encode()).hexdigest()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -321,6 +322,29 @@ class TestVerify:
         }
         assert entries[0]["verdict"] == "pass"
         assert entries[0]["input_digest"] == entries[1]["input_digest"]
+
+    def test_run_log_hashes_scanned_bytes(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "graphs.g6"
+        data = (K6 + "\r\n\n" + C6 + "\r" + K6 + "\n").encode()
+        path.write_bytes(data)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        log = tmp_path / "runs.ndjson"
+        code, out, _ = run(
+            capsys, "verify", "--n", "6", "--k", "2", "--source", f"file:{path}",
+            "--format", "json", "--log", str(log),
+        )
+        assert code == 0 and opened.count(str(path)) == 1
+        assert [json.loads(line)["graph6"] for line in out.splitlines()] == [K6, K6]
+        entry = json.loads(log.read_text())
+        assert entry["input_digest"] == hashlib.sha256(data).hexdigest()
+        assert entry["counts"] == {"scanned": 3, "kfc": 2, "minimal": 0}
 
 
 class TestMinimalize:

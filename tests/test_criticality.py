@@ -265,6 +265,12 @@ def sparse_cases(draw) -> tuple[Graph, int]:
     return random_graph(n, p, draw(st.integers(0, 2**32 - 1))), k
 
 
+def _forced_set(g: Graph, k: int, u: int, v: int) -> int | None:
+    """The lower of N(u) - v and N(v) - u that has exactly k vertices."""
+    sets = [g.adj[x] & ~(1 << y) for x, y in ((u, v), (v, u)) if g.degree(x) == k + 1]
+    return min(sets, default=None)
+
+
 def _assert_table_perfect(w: _Witnesses) -> None:
     """Every kept match array is a perfect matching of the current G - S."""
     current = w.graph()
@@ -361,19 +367,84 @@ class TestWitnessRepair:
             for u, v in order:
                 current = w.graph()
                 want = _first_failing_subset(g.n, delete_edge(current, (u, v)).adj, g.vertex_mask, k)
+                forced = _forced_set(current, k, u, v)
                 broken = [s for s, match in w.table if match[u] == v]
-                searches = counts["search found"] + counts["search failed"]
+                found, failed = counts["search found"], counts["search failed"]
                 got = w.failing_without(u, v, commit=True)
                 assert got == want
-                searched = counts["search found"] + counts["search failed"] - searches
-                repaired = len(broken) if got is None else sum(s <= got for s in broken)
-                counts["path repairs"] += repaired - searched
+                # the scan stops below the returned set: at a failed search, or
+                # short of the forced set, whose own matching is left alone
+                assert counts["search failed"] - failed == (got is not None and got != forced)
+                below = sum(got is None or s < got for s in broken)
+                counts["path repairs"] += below - (counts["search found"] - found)
                 if got is None:
                     _assert_table_perfect(w)
 
         check()
         assert counts["k-FC graphs"] >= 50
         assert counts["path repairs"] and counts["search found"] and counts["search failed"]
+
+    def test_degree_forced_edges(self):
+        """An edge with an endpoint of degree k + 1 leaves G - e without
+        k-factor-criticality, and its certificate is still the lowest
+        failing k-set by brute force: sometimes the forced set, sometimes
+        a lower one."""
+        counts = Counter()
+
+        @settings(max_examples=150, deadline=None)
+        @given(sparse_cases())
+        def check(case):
+            g, k = case
+            kfc = is_k_factor_critical(g, k)[0]
+            for u, v in g.edges():
+                forced = _forced_set(g, k, u, v)
+                if forced is None:
+                    continue
+                want = _oracle_failing(delete_edge(g, (u, v)), k)
+                assert want is not None
+                counts["forced edges"] += 1
+                if kfc:
+                    assert minimality_certificate(g, k, (u, v)).s_e == want
+                    counts["forced set" if want == forced else "lower set"] += 1
+
+        check()
+        assert counts["forced edges"] >= 100
+        assert counts["forced set"] and counts["lower set"]
+
+    def test_forced_edges_search_nothing(self, monkeypatch):
+        """minimalize refuses an edge with an endpoint of degree k + 1
+        without scanning the table or running a blossom search."""
+        counts = Counter()
+
+        def augmenting(*args):
+            counts["searches"] += 1
+            return _find_augmenting(*args)
+
+        failing_without = _Witnesses.failing_without
+
+        def scanning(w, *args, **kwargs):
+            counts["scans"] += 1
+            return failing_without(w, *args, **kwargs)
+
+        def deletable(w, e):
+            forced = _forced_set(w.graph(), w.k, *e)
+            before = counts.copy()
+            got = _edge_deletable(w, e)
+            if forced is not None:
+                assert not got
+                assert counts["searches"] == before["searches"] and counts["scans"] == before["scans"]
+                counts["forced edges"] += 1
+            return got
+
+        monkeypatch.setattr(criticality, "_find_augmenting", augmenting)
+        monkeypatch.setattr(_Witnesses, "failing_without", scanning)
+        monkeypatch.setattr(criticality, "_edge_deletable", deletable)
+        for seed in range(30):
+            try:
+                minimalize(random_graph(12, 0.8, seed), 2, seed)
+            except NotKFactorCriticalError:
+                continue
+        assert counts["forced edges"] >= 100 and counts["searches"] and counts["scans"]
 
 
 class TestConnectivityProperties:

@@ -4,6 +4,9 @@ Subcommands: ``analyze`` (per-graph criticality report), ``classify``
 (fourteen-configuration taxonomy), ``verify`` (minimum-degree sweeps over
 exhaustive, file, or sampled sources), ``minimalize``, and ``certify``.
 
+Graph files (a ``--graph`` path, a ``verify --source file:`` input) have one
+reader, so a non-ASCII byte is malformed input like any other bad line.
+
 Exit codes: 0 all checks passed, 1 mathematical counterexample or failed
 check precondition, 2 malformed input, 3 internal invariant failure (a
 ``RuntimeError``, reported on one ``internal error:`` line). Primary output
@@ -14,13 +17,11 @@ timestamps appear only in the optional append-only run log.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator
 
 from .configurations import ClassificationError, classify
 from .criticality import (
@@ -51,119 +52,81 @@ def _vertices(mask: int) -> list[int]:
 # verify machinery
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    graph6: str
-    n: int
-    k: int
-    is_kfc: bool
-    is_minimal: bool
-    min_degree: int
-    verdict: str  # "pass" / "fail"
-    witness: dict | None
+# a verify record as a worker returns it: (graph6, is_minimal, min_degree) of
+# a k-factor-critical graph; non-k-factor-critical graphs give None
+Record = tuple[str, bool, int]
 
 
-@dataclass
-class VerifySummary:
-    scanned: int
-    kfc: int
-    minimal: int
-    counterexamples: list[str]  # graph6 of each failing record, in input order
-    source_bytes: bytes | None  # a ``file:`` source as read and parsed
-
-
-def _record_for(g: Graph, k: int, minimal: bool) -> VerificationRecord:
-    dmin = min_degree(g)
-    ok = (not minimal) or dmin == k + 1
-    witness = None if ok else {"min_degree": dmin, "expected": k + 1}
-    return VerificationRecord(
-        graph6=to_graph6(g), n=g.n, k=k, is_kfc=True, is_minimal=minimal,
-        min_degree=dmin, verdict="pass" if ok else "fail", witness=witness,
-    )
-
-
-def _scan_worker(task: tuple[Graph, int]) -> VerificationRecord | None:
+def _scan_worker(task: tuple[Graph, int]) -> Record | None:
     g, k = task
     kfc, minimal = kfc_and_minimal(g, k)
-    return _record_for(g, k, minimal) if kfc else None
+    return (to_graph6(g), minimal, min_degree(g)) if kfc else None
 
 
-def _sample_worker(task: tuple[int, float, int, int]) -> VerificationRecord | None:
+def _sample_worker(task: tuple[int, float, int, int]) -> Record | None:
     n, p, k, seed = task
     g = random_graph(n, p, seed)
     try:
         m = minimalize(g, k, seed)
     except NotKFactorCriticalError:
         return None
-    return _record_for(m, k, True)
+    return to_graph6(m), True, min_degree(m)
 
 
-def _format_record(rec: VerificationRecord, fmt: str) -> str:
+def _format_record(rec: Record, failed: bool, n: int, k: int, fmt: str) -> str:
+    g6, minimal, dmin = rec
+    verdict = "fail" if failed else "pass"
+    witness = {"min_degree": dmin, "expected": k + 1} if failed else None
     if fmt == "json":
-        return json.dumps(vars(rec)) + "\n"
+        return json.dumps({
+            "graph6": g6, "n": n, "k": k, "is_kfc": True, "is_minimal": minimal,
+            "min_degree": dmin, "verdict": verdict, "witness": witness,
+        }) + "\n"
     if fmt == "tsv":
-        wit = json.dumps(rec.witness) if rec.witness else ""
-        return (
-            f"{rec.graph6}\t{rec.n}\t{rec.k}\t{rec.is_kfc}\t{rec.is_minimal}"
-            f"\t{rec.min_degree}\t{rec.verdict}\t{wit}\n"
-        )
+        wit = json.dumps(witness) if witness else ""
+        return f"{g6}\t{n}\t{k}\tTrue\t{minimal}\t{dmin}\t{verdict}\t{wit}\n"
     # every record has order n, so its graph6 string has one fixed length
-    return (
-        f"{rec.graph6}  minimal={str(rec.is_minimal):<5}  "
-        f"min_degree={rec.min_degree}  verdict={rec.verdict}\n"
-    )
+    return f"{g6}  minimal={str(minimal):<5}  min_degree={dmin}  verdict={verdict}\n"
 
 
-def verify_scan(
-    n: int,
-    k: int,
-    source: str,
-    out: TextIO,
-    fmt: str = "human",
-    samples: int = 1000,
-    seed: int = 0,
-    p: float = DEFAULT_SAMPLE_P,
-    jobs: int = 1,
-) -> VerifySummary:
-    """Run a verification sweep, writing each record to ``out`` in ``fmt``.
+def verify_scan(args: argparse.Namespace) -> int:
+    """The ``verify`` subcommand: a minimum-degree sweep over a graph source.
 
-    ``source`` is ``all``, ``file:PATH``, or ``sample``. Exhaustive scans
-    need n <= 9; sampling draws graph i from seed + i and minimalizes the
-    k-factor-critical ones with the same per-sample seed.
+    ``--source`` is ``all``, ``file:PATH``, or ``sample``. Sampling draws
+    graph i from seed + i and minimalizes the k-factor-critical ones with
+    the same per-sample seed; a minimal graph whose minimum degree is not
+    k + 1 is a counterexample.
 
-    Every input check (the flags, the source, the n <= 9 cap, and the order
-    of every graph in a ``file:`` source) comes before the first byte is
-    written. Records are then written as they arrive, in input order, also
-    under ``jobs`` > 1 workers; only counts and the counterexamples' graph6
-    strings are kept, and for a ``file:`` source the bytes that were read,
-    so that the run log hashes exactly what was scanned.
+    Every input check (the flags, the source, the n <= 9 cap of exhaustive
+    generation, and the order of every graph in a ``file:`` source) comes
+    before the first byte is written. Records are then written to stdout as
+    they arrive, in input order, also under ``--jobs`` > 1 workers; only
+    counts and the counterexamples' graph6 strings are kept, and for a
+    ``file:`` source the bytes that were read, so that the run log hashes
+    exactly what was scanned. Returns the exit code.
     """
+    n, k, source, fmt, jobs = args.n, args.k, args.source, args.format, args.jobs
     if (n + k) % 2:
         raise GraphError(f"n + k must be even, got n={n}, k={k}")
     if not 0 <= k < n:
         raise GraphError(f"k={k} outside 0..{n - 1}")
-    if samples < 1:
-        raise GraphError(f"samples={samples} must be at least 1")
+    if args.samples < 1:
+        raise GraphError(f"samples={args.samples} must be at least 1")
     if jobs < 1:
         raise GraphError(f"jobs={jobs} must be at least 1")
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"edge probability {p} outside [0, 1]")
+    if not 0.0 <= args.p <= 1.0:
+        raise GraphError(f"edge probability {args.p} outside [0, 1]")
 
     data = None
     if source == "sample":
-        worker, chunk = _sample_worker, max(1, samples // (jobs * 8))
-        tasks: Iterable = ((n, p, k, seed + i) for i in range(samples))
+        worker, chunk = _sample_worker, max(1, args.samples // (jobs * 8))
+        tasks: Iterable = ((n, args.p, k, args.seed + i) for i in range(args.samples))
     else:
         if source == "all":
-            if n > 9:
-                raise GraphError("source=all is limited to n <= 9")
             graphs: Iterable[Graph] = all_graphs(n)
         elif source.startswith("file:"):
-            with open(source[len("file:"):], "rb") as fh:
-                data = fh.read()
-            # decoded and split into lines as by a text-mode open
-            graphs = list(read_graph6_stream(io.TextIOWrapper(io.BytesIO(data), encoding="ascii")))
+            data, stream = _read_graph6_file(source[len("file:"):])
+            graphs = list(stream)
             bad = [g.n for g in graphs if g.n != n]
             if bad:
                 raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
@@ -179,6 +142,7 @@ def verify_scan(
 
         # forked before the first write, so no worker inherits buffered output
         pool = Pool(jobs)
+    out = sys.stdout
     scanned = kfc = minimal = 0
     counterexamples = []
     # leaving the block terminates the workers, also when a record raises
@@ -189,36 +153,48 @@ def verify_scan(
             scanned += 1
             if rec is None:
                 continue
-            out.write(_format_record(rec, fmt))
+            g6, is_minimal, dmin = rec
+            failed = is_minimal and dmin != k + 1
+            out.write(_format_record(rec, failed, n, k, fmt))
             kfc += 1
-            minimal += rec.is_minimal
-            if rec.verdict == "fail":
-                counterexamples.append(rec.graph6)
-    return VerifySummary(scanned, kfc, minimal, counterexamples, data)
+            minimal += is_minimal
+            if failed:
+                counterexamples.append(g6)
+
+    summary = f"scanned={scanned} kfc={kfc} minimal={minimal} failures={len(counterexamples)}"
+    print(summary, file=out if fmt == "human" else sys.stderr)
+    for g6 in counterexamples:
+        print(f"counterexample: {g6}", file=sys.stderr)
+    if args.log:
+        import hashlib  # loads OpenSSL (about 3.7 MB of RSS); only the run log needs it
+        from datetime import datetime, timezone  # only the run log needs a clock
+
+        if data is None:  # not a file: hash what defines the scanned graphs
+            data = f"{source}:n={n}:k={k}:samples={args.samples}:p={args.p}:seed={args.seed}".encode()
+        entry = {
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "command": " ".join(sys.argv),
+            "input_digest": hashlib.sha256(data).hexdigest(),
+            "seed": args.seed,
+            "counts": {"scanned": scanned, "kfc": kfc, "minimal": minimal},
+            "verdict": "fail" if counterexamples else "pass",
+        }
+        with open(args.log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry) + "\n")
+    return EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# graph input
 # ---------------------------------------------------------------------------
 
 
-def _append_run_log(path: str, args: argparse.Namespace, digest: str, summary: VerifySummary) -> None:
-    from datetime import datetime, timezone  # only the run log needs a clock
-
-    entry = {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "command": " ".join(sys.argv),
-        "input_digest": digest,
-        "seed": args.seed,
-        "counts": {
-            "scanned": summary.scanned,
-            "kfc": summary.kfc,
-            "minimal": summary.minimal,
-        },
-        "verdict": "fail" if summary.counterexamples else "pass",
-    }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry) + "\n")
+def _read_graph6_file(path: str) -> tuple[bytes, Iterator[Graph]]:
+    """The bytes of a graph6 file and a lazy stream of its graphs, split at
+    ``\\n``, ``\\r\\n`` and ``\\r`` as by a text-mode open."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data, read_graph6_stream(data.splitlines())
 
 
 def _load_graph(arg: str) -> Graph:
@@ -226,11 +202,10 @@ def _load_graph(arg: str) -> Graph:
         line = sys.stdin.readline()
         return parse_graph6(line)
     if os.path.exists(arg):
-        with open(arg, "r", encoding="ascii") as fh:
-            for line in fh:
-                if line.strip():
-                    return parse_graph6(line)
-        raise Graph6Error(f"no graph6 line in {arg}")
+        g = next(_read_graph6_file(arg)[1], None)
+        if g is None:
+            raise Graph6Error(f"no graph6 line in {arg}")
+        return g
     return parse_graph6(arg)
 
 
@@ -335,30 +310,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    summary = verify_scan(
-        n=args.n, k=args.k, source=args.source, out=sys.stdout, fmt=args.format,
-        samples=args.samples, seed=args.seed, p=args.p, jobs=args.jobs,
-    )
-    summary_line = (
-        f"scanned={summary.scanned} kfc={summary.kfc} "
-        f"minimal={summary.minimal} failures={len(summary.counterexamples)}"
-    )
-    print(summary_line, file=sys.stdout if args.format == "human" else sys.stderr)
-    for g6 in summary.counterexamples:
-        print(f"counterexample: {g6}", file=sys.stderr)
-    if args.log:
-        import hashlib  # loads OpenSSL (about 3.7 MB of RSS); only the run log needs it
-
-        if summary.source_bytes is not None:
-            digest = hashlib.sha256(summary.source_bytes).hexdigest()
-        else:
-            desc = f"{args.source}:n={args.n}:k={args.k}:samples={args.samples}:p={args.p}:seed={args.seed}"
-            digest = hashlib.sha256(desc.encode()).hexdigest()
-        _append_run_log(args.log, args, digest, summary)
-    return EXIT_COUNTEREXAMPLE if summary.counterexamples else EXIT_OK
-
-
 def _cmd_minimalize(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     try:
@@ -427,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--jobs", type=int, default=1)
     ve.add_argument("--format", choices=["human", "json", "tsv"], default="human")
     ve.add_argument("--log", default=None, help="append-only NDJSON run log path")
-    ve.set_defaults(func=_cmd_verify)
+    ve.set_defaults(func=verify_scan)
 
     mi = sub.add_parser("minimalize", help="delete edges until minimal k-factor-critical")
     mi.add_argument("--graph", required=True)

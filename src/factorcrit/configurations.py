@@ -149,6 +149,24 @@ class ClassificationResult:
         return seen
 
 
+def _check_preconditions(h: Graph, e: Edge) -> None:
+    """Raise :class:`ClassificationError` naming the first precondition of
+    :func:`classify` that ``h`` with the missing edge ``e`` fails."""
+    if has_perfect_matching(h):
+        raise ClassificationError("has_perfect_matching", "graph already has a perfect matching")
+    plus = add_edge(h, e)
+    if not has_perfect_matching(plus):
+        raise ClassificationError(
+            "edge_gives_no_perfect_matching",
+            "adding the designated edge does not create a perfect matching",
+        )
+    if min_degree(plus) <= 1:
+        raise ClassificationError(
+            "pendant_vertex",
+            "graph plus designated edge has a vertex of degree <= 1",
+        )
+
+
 def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
     """Classify a deficient 10-vertex graph with designated missing edge.
 
@@ -164,21 +182,7 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
     if h.has_edge(u, v):
         raise GraphError(f"designated edge ({u},{v}) must be a non-edge")
 
-    if has_perfect_matching(h):
-        raise ClassificationError(
-            "has_perfect_matching", "graph already has a perfect matching"
-        )
-    plus = add_edge(h, (u, v))
-    if not has_perfect_matching(plus):
-        raise ClassificationError(
-            "edge_gives_no_perfect_matching",
-            "adding the designated edge does not create a perfect matching",
-        )
-    if min_degree(plus) <= 1:
-        raise ClassificationError(
-            "pendant_vertex",
-            "graph plus designated edge has a vertex of degree <= 1",
-        )
+    _check_preconditions(h, (u, v))
 
     # h + uv has a perfect matching, so h has deficiency 2: by Tutte-Berge each
     # witness leaves exactly |X| + 2 components, with u and v in two distinct
@@ -314,14 +318,10 @@ def build_instance(
 
 
 def _check_built(host: Graph, e: Edge, s_e: VertexSet) -> None:
-    core = core_graph(host, e, s_e)
-    if has_perfect_matching(core):
-        raise RuntimeError("built core unexpectedly has a perfect matching")
-    plus = add_edge(core, e)
-    if not has_perfect_matching(plus):
-        raise RuntimeError("built core plus designated edge lacks a perfect matching")
-    if min_degree(plus) <= 1:
-        raise RuntimeError("built core plus designated edge has a pendant vertex")
+    try:
+        _check_preconditions(core_graph(host, e, s_e), e)
+    except ClassificationError as exc:
+        raise RuntimeError(f"built core fails precondition {exc.reason}: {exc}") from None
 
 
 def core_graph(host: Graph, e: Edge, s_e: VertexSet) -> Graph:

@@ -315,9 +315,10 @@ def all_graphs(n: int) -> Iterator[Graph]:
     bucket are compared by ``_class_key``, which is equal exactly for
     isomorphic graphs. A class is kept under the parent whose (degree
     sequence, canonical form) key is the smallest over the child's
-    one-vertex deletions.
+    one-vertex deletions. An order outside 1..9 raises :class:`GraphError`
+    on the call itself, before the first ``next``.
     """
-    yield from _representatives(n)
+    return iter(_representatives(n))
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +382,16 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse newline-delimited graph6 lines, in input order.
+def read_graph6_stream(lines: Iterable[str | bytes]) -> Iterator[Graph]:
+    """Parse newline-delimited graph6 lines, str or bytes, in input order.
 
-    Blank lines are skipped. A malformed line raises :class:`Graph6Error`
-    naming its 1-based line number.
+    Blank lines are skipped; as for ``str.strip``, the ASCII separators
+    ``\\x1c``..``\\x1f`` count as blank. A malformed or non-ASCII line raises
+    :class:`Graph6Error` naming its 1-based line number.
     """
     for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes) and line.isascii():
+            line = line.decode("ascii")  # bytes.strip would keep \x1c..\x1f
         stripped = line.strip()
         if not stripped:
             continue

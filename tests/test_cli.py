@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorcrit import all_graphs, complete_graph, cycle_graph, min_degree, parse_graph6, to_graph6
+from factorcrit import (
+    Graph6Error, all_graphs, complete_graph, cycle_graph, graph_from_edges, min_degree, parse_graph6,
+    read_graph6_stream, to_graph6,
+)
 from factorcrit import cli
 from factorcrit.cli import main
 from conftest import disjoint_cliques
@@ -82,6 +88,13 @@ class TestAnalyze:
         path.write_text(K4 + "\n")
         code, out, _ = run(capsys, "analyze", "--graph", str(path), "--k", "2")
         assert code == 0 and "minimal: True" in out
+
+    def test_file_input_non_ascii_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_bytes(b"C\xe9\n" + K4.encode() + b"\n")
+        code, out, err = run(capsys, "analyze", "--graph", str(path), "--k", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1: non-ASCII graph6 input: ")
 
 
 class TestClassify:
@@ -161,8 +174,13 @@ class TestVerify:
         assert code == 2
 
     def test_oversize_exit_2(self, capsys):
-        code, _, _ = run(capsys, "verify", "--n", "10", "--k", "2", "--source", "all")
-        assert code == 2
+        # exhaustive generation refuses n = 10 before the first byte, even the tsv header
+        for fmt, jobs in (("human", "1"), ("tsv", "1"), ("tsv", "2")):
+            code, out, err = run(
+                capsys, "verify", "--n", "10", "--k", "2", "--source", "all",
+                "--format", fmt, "--jobs", jobs,
+            )
+            assert (code, out, err) == (2, "", "error: exhaustive generation limited to n <= 9\n")
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_non_positive_samples_exit_2(self, capsys, samples):
@@ -203,11 +221,15 @@ class TestVerify:
     @pytest.mark.parametrize("last, error", [
         (K4, "input file contains graphs of order 4, expected 6"),
         ("E~~~~", "line 157: oversized graph6 payload: 4 bytes, expected 3"),
-    ], ids=["order-4", "malformed"])
+        ("E~\xe9w", "line 157: non-ASCII graph6 input: 'ascii' codec can't decode byte 0xe9"
+                    " in position 2: ordinal not in range(128)"),
+    ], ids=["order-4", "malformed", "non-ascii"])
     def test_file_source_bad_last_line_exit_2(self, capsys, tmp_path, last, error, jobs):
         # every input check precedes the first byte, even the tsv header
         path = tmp_path / "graphs.g6"
-        path.write_text("".join(to_graph6(g) + "\n" for g in all_graphs(6)) + last + "\n")
+        path.write_bytes(
+            ("".join(to_graph6(g) + "\n" for g in all_graphs(6)) + last + "\n").encode("latin-1")
+        )
         code, out, err = run(
             capsys, "verify", "--n", "6", "--k", "2", "--source", f"file:{path}",
             "--format", "tsv", "--jobs", jobs,
@@ -345,6 +367,40 @@ class TestVerify:
         entry = json.loads(log.read_text())
         assert entry["input_digest"] == hashlib.sha256(data).hexdigest()
         assert entry["counts"] == {"scanned": 3, "kfc": 2, "minimal": 0}
+
+
+@st.composite
+def graph6_lines(draw) -> str:
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return to_graph6(graph_from_edges(n, edges))
+
+
+# a line is a few graph6 strings and blank bytes, so it may be blank, valid or malformed
+_LINE = st.lists(st.one_of(graph6_lines(), st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f")), max_size=3)
+_FILE = st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=6)
+
+
+def _outcome(read) -> tuple:
+    try:
+        return "graphs", list(read())
+    except Graph6Error as exc:
+        return "error", str(exc)
+
+
+class TestReadGraph6File:
+    @settings(deadline=None)
+    @given(_FILE)
+    def test_matches_text_mode_reader(self, tmp_path_factory, lines):
+        # the oracle is the earlier reader: a text-mode decode, then str lines
+        data = "".join("".join(pieces) + end for pieces, end in lines).encode("ascii")
+        path = tmp_path_factory.mktemp("g6") / "graphs.g6"
+        path.write_bytes(data)
+        got_bytes, stream = cli._read_graph6_file(str(path))
+        assert got_bytes == data
+        expected = _outcome(lambda: read_graph6_stream(io.TextIOWrapper(io.BytesIO(data), encoding="ascii")))
+        assert _outcome(lambda: stream) == expected
 
 
 class TestMinimalize:

@@ -213,7 +213,7 @@ class TestBuildInstance:
 
     def test_failed_self_check_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(configurations, "has_perfect_matching", lambda g: True)
-        with pytest.raises(RuntimeError, match="built core unexpectedly has a perfect matching"):
+        with pytest.raises(RuntimeError, match="has_perfect_matching"):
             build_instance(ConfigLabel.C1, 12)
 
 

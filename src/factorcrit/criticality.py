@@ -49,7 +49,7 @@ from .graphs import (
     min_degree,
     normalize_edge,
 )
-from .matching import _find_augmenting, _first_failing_subset
+from .matching import _augment_three, _find_augmenting, _first_failing_subset
 
 
 class NotKFactorCriticalError(GraphError):
@@ -92,7 +92,6 @@ class _Witnesses:
         adj = self.adj.copy()
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        av = adj[v]
         repaired = []
         table = self.table
         end = len(table) if forced is None else bisect_left(table, forced, key=itemgetter(0))
@@ -100,20 +99,10 @@ class _Witnesses:
             if match[u] != v:
                 continue
             m = match.copy()
+            m[u] = m[v] = -1
             sub = full & ~s
-            row = adj[u] & sub
-            while row:  # the path u - a = b - v, a the lowest neighbour that has one
-                bit = row & -row
-                row ^= bit
-                a = bit.bit_length() - 1
-                b = m[a]
-                if av >> b & 1:
-                    m[u], m[a], m[b], m[v] = a, u, v, b
-                    break
-            else:
-                m[u] = m[v] = -1
-                if _find_augmenting(n, adj, sub, m, u):
-                    return s
+            if _augment_three(adj, sub, m, u, 1 << v) < 0 and _find_augmenting(n, adj, sub, m, u):
+                return s
             repaired.append((i, s, m))
         if forced is not None:
             return forced

@@ -18,7 +18,7 @@ dedupe key change."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .graphs import (
@@ -240,19 +240,28 @@ def _class_key(adj: tuple[int, ...], codes: list[int]) -> tuple[int, ...]:
     return tuple(_minimal_columns(len(adj), adj, cells=_stable_cells(adj, codes)))
 
 
-def _parent_is_canonical(n: int, child: tuple[int, ...], codes: list[int], pcols: list[int]) -> bool:
-    """Whether the parent (with minimal columns pcols) that ``child`` (with
-    vertex codes ``codes``) was built from by adding vertex n - 1 is the
-    child's canonical parent: no single-vertex deletion reaches a class with
-    a smaller (degree sequence, canonical form) key. Deleting n - 1 gives
-    the parent back, so it is not tried; a deletion with a larger change
-    than that one has a smaller degree sequence than the parent."""
-    own = codes[-1] >> 4
-    for v in range(n - 1):
+def _parent_is_canonical(
+    n: int, child: tuple[int, ...], codes: list[int], pcols: Callable[[], list[int]]
+) -> bool:
+    """Whether the parent (with minimal columns ``pcols()``) that ``child``
+    (with vertex codes ``codes``) was built from by adding vertex n - 1 is
+    the child's canonical parent: no single-vertex deletion reaches a class
+    with a smaller (degree sequence, canonical form) key. Deleting n - 1, or
+    a twin of it, gives the parent back, so it is not tried; a deletion with
+    a larger change than that one has a smaller degree sequence than the
+    parent."""
+    last = n - 1
+    own = codes[last] >> 4
+    for v in range(last):
         change = codes[v] >> 4
-        smaller = change == own and _minimal_columns(n - 1, _delete_vertex_rows(n, child, v), pcols) is not None
-        if change > own or smaller:
+        if change > own:
             return False
+        if change == own:
+            pair = 1 << v | 1 << last
+            if child[v] & ~pair == child[last] & ~pair:
+                continue
+            if _minimal_columns(last, _delete_vertex_rows(n, child, v), pcols()) is not None:
+                return False
     return True
 
 
@@ -269,7 +278,7 @@ def _representatives(n: int) -> tuple[Graph, ...]:
     new = n - 1
     for parent in _representatives(n - 1):
         padj = parent.adj
-        pcols = _minimal_columns(n - 1, padj)
+        pcols = cache(partial(_minimal_columns, n - 1, padj))
         codes_of = _attachment_codes(n, padj)
         # swapping twins u < w of the parent is an automorphism, so a child
         # attached to w and not u is isomorphic to a smaller attachment in the

@@ -3,11 +3,12 @@
 The production engine is an array-based blossom algorithm working directly
 on vertex bitmasks, so induced subgraphs never need relabeling; each search
 keeps its alternating tree in a vertex mask and contracts blossoms in it
-alone. The k-subset
-sweep built on it decides k-factor-criticality and, at k = 1 on a vertex
-set, factor-criticality. A pruned exhaustive recursion
-(:func:`brute_force_max_matching`) and a full perfect-matching enumerator
-serve as independent oracles for tests.
+alone. An exposed vertex first tries a three-edge augmenting path, found
+with a few bit operations, and the path the blossom search would take; the
+search runs only when there is none. The k-subset sweep built on it decides
+k-factor-criticality and, at k = 1 on a vertex set, factor-criticality. A
+pruned exhaustive recursion (:func:`brute_force_max_matching`) and a full
+perfect-matching enumerator serve as independent oracles for tests.
 """
 
 from __future__ import annotations
@@ -113,6 +114,34 @@ def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], r
     return outer
 
 
+def _augment_three(adj: tuple[int, ...], sub: int, match: list[int], v: int, targets: int) -> int:
+    """Augment along the first path v - a = b - w with w in ``targets``.
+
+    ``a`` runs through the neighbours of ``v`` in ``sub`` in ascending order,
+    ``b = match[a]``, and w is the lowest target adjacent to b. Requires v
+    exposed, every neighbour of v in ``sub`` matched, and ``targets`` exposed
+    vertices of ``sub`` other than v. Returns w, or -1 with ``match``
+    unchanged when no such path exists.
+
+    When :func:`_find_augmenting` from v would reach an exposed vertex in
+    ``targets`` in three edges, this is the path it takes: its queue starts
+    with v and then the mates of v's neighbours in this order, and the first
+    exposed neighbour of the first mate that has one ends the search.
+    """
+    row = adj[v] & sub
+    while row:
+        bit = row & -row
+        row ^= bit
+        a = bit.bit_length() - 1
+        b = match[a]
+        ends = adj[b] & targets
+        if ends:
+            w = (ends & -ends).bit_length() - 1
+            match[v], match[a], match[b], match[w] = a, v, w, b
+            return w
+    return -1
+
+
 def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool = False) -> list[int] | None:
     """Maximum matching on the vertices of ``sub`` as a match array.
 
@@ -135,12 +164,24 @@ def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool =
             match[u] = v
         else:
             exposed |= bit
+    # exposed vertices are independent after the greedy pass and stay so, and
+    # a vertex left exposed by a stuck search is never the end of an
+    # augmenting path later, so the targets are the exposed vertices above v
     while exposed:
         bit = exposed & -exposed
         exposed ^= bit
         v = bit.bit_length() - 1
-        if match[v] == -1 and _find_augmenting(n, adj, sub, match, v) and stop_on_exposed:
-            return None
+        w = _augment_three(adj, sub, match, v, exposed)
+        if w >= 0:
+            exposed ^= 1 << w
+        elif _find_augmenting(n, adj, sub, match, v):
+            if stop_on_exposed:
+                return None
+        else:  # the search matched some exposed w above v: drop it
+            rest = exposed
+            while match[(rest & -rest).bit_length() - 1] == -1:
+                rest &= rest - 1
+            exposed ^= rest & -rest
     return match
 
 

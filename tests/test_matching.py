@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcrit import (
+    Graph,
     GraphError,
     all_perfect_matchings,
     bits,
@@ -23,7 +24,7 @@ from factorcrit import (
     odd_components,
     random_graph,
 )
-from factorcrit.matching import _find_augmenting, _match_array
+from factorcrit.matching import _augment_three, _find_augmenting, _match_array
 from conftest import disjoint_cliques, petersen
 
 P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -377,3 +378,51 @@ class TestEngineIdentity:
             assert (outer == 0) == augments
             if outer:
                 assert outer == reach and got == match
+
+
+class TestThreeEdgePath:
+    @settings(max_examples=400, deadline=None)
+    @given(random_graphs(), st.sets(st.integers(0, 13), max_size=2), st.data(), st.booleans())
+    def test_agrees_with_blossom_search(self, g, removed, data, drop_edge):
+        # a maximum matching of G - S less one edge xy, which stays in the
+        # graph or is deleted from it as in a witness repair, from every
+        # exposed root whose neighbours are all matched
+        sub = g.vertex_mask & ~mask_of(removed)
+        match = reference_match_array(g.n, g.adj, sub)
+        matched = [u for u in bits(sub) if match[u] > u]
+        if not matched:
+            return
+        x = data.draw(st.sampled_from(matched))
+        y = match[x]
+        match[x] = match[y] = -1
+        adj = list(g.adj)
+        if drop_edge:
+            adj[x] &= ~(1 << y)
+            adj[y] &= ~(1 << x)
+        exposed = mask_of(v for v in bits(sub) if match[v] == -1)
+        for root in bits(exposed):
+            if adj[root] & exposed:
+                continue
+            targets = exposed & ~(1 << root)
+            got = match.copy()
+            w = _augment_three(adj, sub, got, root, targets)
+            paths = [(a, t) for a in bits(adj[root] & sub) for t in bits(adj[match[a]] & targets)]
+            if w < 0:
+                assert not paths and got == match
+                continue
+            want = match.copy()
+            with watchdog():
+                assert _find_augmenting(g.n, adj, sub, want, root) == 0
+            assert got == want and paths
+
+    def test_far_end_of_a_search_is_no_target(self):
+        """A blossom search matches some exposed vertex above its root; a
+        later three-edge path must not end there. This graph reaches that
+        case. It is G - (5, 6) at the step where the k = 1 deletion pass with
+        seed 0 over Graph(n=11, adj=(72, 1004, 578, 179, 904, 1610, 167,
+        1882, 146, 182, 160)) tests the edge (5, 6)."""
+        g = Graph(n=11, adj=(72, 360, 576, 35, 384, 1034, 7, 1552, 18, 132, 160))
+        for sub in range(1 << g.n):
+            for stop_on_exposed in (False, True):
+                got = _match_array(g.n, g.adj, sub, stop_on_exposed)
+                assert got == reference_match_array(g.n, g.adj, sub, stop_on_exposed)

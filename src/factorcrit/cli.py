@@ -4,8 +4,9 @@ Subcommands: ``analyze`` (per-graph criticality report), ``classify``
 (fourteen-configuration taxonomy), ``verify`` (minimum-degree sweeps over
 exhaustive, file, or sampled sources), ``minimalize``, and ``certify``.
 
-Graph files (a ``--graph`` path, a ``verify --source file:`` input) have one
-reader, so a non-ASCII byte is malformed input like any other bad line.
+Graph files (a ``--graph`` path or ``-`` for stdin, a ``verify --source
+file:`` input) have one reader, so a non-ASCII byte is malformed input like
+any other bad line.
 
 Exit codes: 0 all checks passed, 1 mathematical counterexample or failed
 check precondition, 2 malformed input, 3 internal invariant failure (a
@@ -199,14 +200,15 @@ def _read_graph6_file(path: str) -> tuple[bytes, Iterator[Graph]]:
 
 def _load_graph(arg: str) -> Graph:
     if arg == "-":
-        line = sys.stdin.readline()
-        return parse_graph6(line)
-    if os.path.exists(arg):
-        g = next(_read_graph6_file(arg)[1], None)
-        if g is None:
-            raise Graph6Error(f"no graph6 line in {arg}")
-        return g
-    return parse_graph6(arg)
+        stream = read_graph6_stream(sys.stdin.buffer.read().splitlines())
+    elif os.path.exists(arg):
+        stream = _read_graph6_file(arg)[1]
+    else:
+        return parse_graph6(arg)
+    g = next(stream, None)
+    if g is None:
+        raise Graph6Error(f"no graph6 line in {arg}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Graph6Error, GraphError, OSError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

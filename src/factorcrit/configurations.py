@@ -91,18 +91,18 @@ _SIGNATURES: list[tuple[ConfigLabel, ConfigSignature]] = [
     (ConfigLabel.C14, ConfigSignature(4, (1, 1, 1, 1, 1, 1), _TT)),
 ]
 
-# endpoint component sizes, smaller first, of each placement with X nonempty;
-# with X empty the edge joins the only two components (between-the-two)
+# endpoint component sizes, smaller first, of each placement with X nonempty
 _ENDPOINT_SIZES: dict[EdgePlacement, tuple[int, int]] = {
     _TT: (1, 1),
     _T3: (1, 3),
     _T5: (1, 5),
     _P33: (3, 3),
 }
-_PLACEMENT_OF_SIZES = {sizes: placement for placement, sizes in _ENDPOINT_SIZES.items()}
-
+# each label's endpoint component sizes, smaller first; with X empty the edge
+# joins the only two components (between-the-two), so they are those sizes
+_ENDS = {label: _ENDPOINT_SIZES.get(sig.placement, sig.component_sizes) for label, sig in _SIGNATURES}
 _BY_SIGNATURE = {
-    (sig.x_size, sig.component_sizes, sig.placement): label for label, sig in _SIGNATURES
+    (sig.x_size, sig.component_sizes, _ENDS[label]): label for label, sig in _SIGNATURES
 }
 
 
@@ -194,8 +194,7 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
         x_size = w.x.bit_count()
         sizes = tuple(sorted(c.vertices.bit_count() for c in w.components))
         ends = tuple(sorted((u_comp.bit_count(), v_comp.bit_count())))
-        placement = _PLACEMENT_OF_SIZES.get(ends) if x_size else _B2
-        label = _BY_SIGNATURE.get((x_size, sizes, placement))
+        label = _BY_SIGNATURE.get((x_size, sizes, ends))
         if label is None:
             raise RuntimeError(
                 f"witness ({x_size}, {sizes}, endpoint sizes {ends}) missing from the table"
@@ -254,10 +253,7 @@ def build_instance(
     if x_attachment not in ("complete", "minimal"):
         raise GraphError(f"unknown attachment mode {x_attachment!r}")
     sig = dict(_SIGNATURES)[label]
-    if sig.placement is _B2:
-        u_size, v_size = sig.component_sizes
-    else:
-        u_size, v_size = _ENDPOINT_SIZES[sig.placement]
+    u_size, v_size = _ENDS[label]
 
     leftover_sizes = list(sig.component_sizes)
     leftover_sizes.remove(u_size)

@@ -22,19 +22,17 @@ full sweep of G - uv would report.
 Most edges that minimalization refuses are refused by degree alone. Every
 k-FC graph has minimum degree at least k + 1 (Favaron, "On k-factor-critical
 graphs", Discuss. Math. Graph Theory 16, 1996): deleting N(x) isolates x.
-So when u or v has degree k in G - uv, its neighbourhood there is a failing
-k-set of G - uv, the forced set (the lower mask when both endpoints have
-one). An edge with a forced set is undeletable without any repair, and its
-lowest failing k-set is the lowest S below the forced set whose matching
-cannot be repaired, or the forced set itself.
+So when an endpoint x of uv has degree k + 1 and y is the other endpoint,
+G - uv is not k-FC, and :func:`_edge_deletable` refuses uv without any
+repair. A certificate needs no such case: S_f = N(x) - y is a k-set, in
+G - S_f the only neighbour of x is y, so the kept matching of G - S_f uses
+uv, and its repair fails because x is isolated in G - uv - S_f. The
+ascending scan therefore stops at S_f at the latest.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
 
 from .enumeration import SplitMix64
 from .graphs import (
@@ -73,29 +71,20 @@ class _Witnesses:
         self.table: list[tuple[int, list[int]]] = []
         self.failing = _first_failing_subset(g.n, g.adj, g.vertex_mask, k, self.table)
 
-    def forced(self, u: int, v: int) -> int | None:
-        """The lower of N(u) and N(v) in G - uv that has k vertices, or None.
-        Deleting it isolates its endpoint, so G - uv is not k-FC."""
-        nu, nv = self.adj[u] & ~(1 << v), self.adj[v] & ~(1 << u)
-        return min((a for a in (nu, nv) if a.bit_count() == self.k), default=None)
-
     def failing_without(self, u: int, v: int, commit: bool = False) -> int | None:
         """Lowest k-set S such that G - uv - S has no perfect matching, or
         None when G - uv is still k-FC.
 
         Only the matchings that use uv are searched again, in ascending order
-        of S, and only below the forced set when there is one. With
-        ``commit``, a None result deletes uv and keeps the repaired matchings.
+        of S. With ``commit``, a None result deletes uv and keeps the repaired
+        matchings.
         """
         n, full = self.n, self.full
-        forced = self.forced(u, v)
         adj = self.adj.copy()
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
         repaired = []
-        table = self.table
-        end = len(table) if forced is None else bisect_left(table, forced, key=itemgetter(0))
-        for i, (s, match) in enumerate(islice(table, end)):
+        for i, (s, match) in enumerate(self.table):
             if match[u] != v:
                 continue
             m = match.copy()
@@ -104,8 +93,6 @@ class _Witnesses:
             if _augment_three(adj, sub, m, u, 1 << v) < 0 and _find_augmenting(n, adj, sub, m, u):
                 return s
             repaired.append((i, s, m))
-        if forced is not None:
-            return forced
         if commit:
             self.adj = adj
             for i, s, m in repaired:
@@ -170,10 +157,7 @@ def minimality_certificate(g: Graph, k: int, e: tuple[int, int]) -> MinimalityCe
     Returns the lowest k-set S (ascending mask) with no perfect matching in
     (G - e) - S; such an S automatically avoids both endpoints, and since G
     itself is k-FC, G - S has a perfect matching that must use e. Absent
-    exactly when G - e is still k-factor-critical. When an endpoint of e has
-    degree k + 1, its other neighbours form a failing k-set (the forced set),
-    and only the kept matchings below it are searched again: the certificate
-    is the first of them that cannot be repaired, else the forced set.
+    exactly when G - e is still k-factor-critical.
 
     Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """
@@ -221,18 +205,14 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
 def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     """(k-factor-critical, minimal) from one sweep, without certificates:
     the edge tests stop at the first deletable edge. Minimum degree <= k
-    fails before the sweep: deleting a k-set holding N(v) isolates v. For
-    the same reason an edge with an endpoint of degree k + 1 is undeletable
-    without a test."""
+    fails before the sweep (see the module docstring)."""
     _check_k(g, k)
     if min_degree(g) <= k:
         return False, False
     w = _Witnesses(g, k)
     if w.failing is not None:
         return False, False
-    return True, all(
-        w.forced(*e) is not None or w.failing_without(*e) is not None for e in g.edges()
-    )
+    return True, not any(_edge_deletable(w, e) for e in g.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +222,11 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
 
 def _edge_deletable(w: _Witnesses, e: Edge) -> bool:
     """Delete ``e`` from ``w`` when the graph stays k-FC without it. An edge
-    with a forced set is refused before any matching is searched again."""
-    return w.forced(*e) is None and w.failing_without(*e, commit=True) is None
+    with an endpoint of degree k + 1 is refused before any matching is
+    searched again."""
+    u, v = e
+    forced = w.k + 1 in (w.adj[u].bit_count(), w.adj[v].bit_count())
+    return not forced and w.failing_without(u, v, commit=True) is None
 
 
 def minimalize(g: Graph, k: int, seed: int) -> Graph:
@@ -252,18 +235,9 @@ def minimalize(g: Graph, k: int, seed: int) -> Graph:
     Edges are tried once each, in a seed-determined shuffle of the input's
     edge list. One pass suffices because deletability is monotone: when
     G - e is not k-FC, no spanning subgraph of it is, so an edge refused
-    once stays undeletable after later deletions. Each test repairs, in
-    ascending order of S, only the kept perfect matchings of G - S that use
-    the edge: by a three-edge alternating path between its endpoints when
-    one exists, else by a blossom search (see the module docstring). Which
-    path repairs a matching does not change whether G - e - S has a perfect
-    matching, and the first S that cannot be repaired is the lowest failing
-    k-set of G - e, so the test decides exactly what a full sweep of G - e
-    decides, and certificates stay canonical. A deletion and its repaired
-    matchings are committed only when every repair succeeds. An edge with an
-    endpoint of degree k + 1 is refused at once, with no repair: deleting
-    that endpoint's other k neighbours from G - e isolates it. Deterministic
-    given (g, k, seed).
+    once stays undeletable after later deletions. Each test is the edge test
+    of the module docstring, so it decides exactly what a full sweep of G - e
+    decides. Deterministic given (g, k, seed).
 
     Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """

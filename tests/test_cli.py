@@ -77,11 +77,26 @@ class TestAnalyze:
         assert err == "error: k=7 outside 0..3\n"
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(K4 + "\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(K4.encode() + b"\n")))
         code, out, _ = run(capsys, "analyze", "--graph", "-", "--k", "2")
         assert code == 0 and "minimal: True" in out
+
+    def test_stdin_blank_first_line_skipped(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\n" + K4.encode() + b"\n")))
+        code, out, _ = run(capsys, "analyze", "--graph", "-", "--k", "2")
+        assert code == 0 and "minimal: True" in out
+
+    def test_stdin_non_ascii_exit_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xc3\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "analyze", "--graph", "-", "--k", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1: non-ASCII graph6 input: ")
+
+    def test_empty_stdin_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+        code, out, err = run(capsys, "analyze", "--graph", "-", "--k", "2")
+        assert (code, out, err) == (2, "", "error: no graph6 line in -\n")
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "g.g6"

@@ -367,14 +367,12 @@ class TestWitnessRepair:
             for u, v in order:
                 current = w.graph()
                 want = _first_failing_subset(g.n, delete_edge(current, (u, v)).adj, g.vertex_mask, k)
-                forced = _forced_set(current, k, u, v)
                 broken = [s for s, match in w.table if match[u] == v]
                 found, failed = counts["search found"], counts["search failed"]
                 got = w.failing_without(u, v, commit=True)
                 assert got == want
-                # the scan stops below the returned set: at a failed search, or
-                # short of the forced set, whose own matching is left alone
-                assert counts["search failed"] - failed == (got is not None and got != forced)
+                # every returned set is the first whose repair fails
+                assert counts["search failed"] - failed == (got is not None)
                 below = sum(got is None or s < got for s in broken)
                 counts["path repairs"] += below - (counts["search found"] - found)
                 if got is None:
@@ -412,8 +410,8 @@ class TestWitnessRepair:
         assert counts["forced set"] and counts["lower set"]
 
     def test_forced_edges_search_nothing(self, monkeypatch):
-        """minimalize refuses an edge with an endpoint of degree k + 1
-        without scanning the table or running a blossom search."""
+        """minimalize and kfc_and_minimal refuse an edge with an endpoint of
+        degree k + 1 without scanning the table or running a blossom search."""
         counts = Counter()
 
         def augmenting(*args):
@@ -440,11 +438,18 @@ class TestWitnessRepair:
         monkeypatch.setattr(_Witnesses, "failing_without", scanning)
         monkeypatch.setattr(criticality, "_edge_deletable", deletable)
         for seed in range(30):
+            g = random_graph(12, 0.8, seed)
             try:
-                minimalize(random_graph(12, 0.8, seed), 2, seed)
+                m = minimalize(g, 2, seed)
             except NotKFactorCriticalError:
                 continue
+            for h in (g, m):
+                before = counts["forced edges"]
+                # minimal exactly when minimalize deleted nothing from it
+                assert kfc_and_minimal(h, 2) == (True, len(h.edges()) == len(m.edges()))
+                counts["sweep forced edges"] += counts["forced edges"] - before
         assert counts["forced edges"] >= 100 and counts["searches"] and counts["scans"]
+        assert counts["sweep forced edges"] >= 300
 
 
 class TestConnectivityProperties:

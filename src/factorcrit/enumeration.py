@@ -39,6 +39,12 @@ class CanonicalForm:
     encoding: bytes
 
 
+# _SPREAD[row] moves bit w of a row (n <= 10) to vertex w's 16-bit column field
+_SPREAD = [0]
+for _w in range(10):
+    _SPREAD += [s | 1 << 16 * _w for s in _SPREAD]
+
+
 def _minimal_columns(
     n: int, adj: tuple[int, ...], bound: list[int] | None = None, cells: list[int] | None = None
 ) -> list[int] | None:
@@ -66,49 +72,53 @@ def _minimal_columns(
     # tight: the column prefix equals best's prefix (pruning applies);
     # otherwise it is strictly smaller, or best does not exist yet, and the
     # leftmost completion below will replace best. Returns True to stop.
-    def dfs(depth: int, tight: bool, cols: list[int], colv: list[int], unplaced: list[int]) -> bool:
+    def dfs(depth: int, tight: bool, cols: list[int], colv: int, unplaced: int) -> bool:
         nonlocal best
         if not unplaced:
             if not tight:
                 best = cols.copy()
             return bound is not None
-        cell = cell_at[depth]
-        cands = sorted(((colv[u], degs[u], u) for u in unplaced if cell >> u & 1))
-        explored: list[int] = []
+        # candidates above best's column are pruned; a non-tight child lowers it, so it is re-read
+        ref = best[depth - 1] if tight and depth else 0xFFFF
+        avail = unplaced & cell_at[depth]
+        cands = []
+        while avail:
+            b = avail & -avail
+            avail ^= b
+            u = b.bit_length() - 1
+            col = colv >> 16 * u & 0xFFFF
+            if col <= ref:
+                cands.append((col, degs[u], u))
+        cands.sort()
+        explored = 0
         for col, _, u in cands:
             if tight and depth:
-                ref = best[depth - 1]
                 if col > ref:
                     break
                 child_tight = col == ref
             else:
                 child_tight = tight
             ub = 1 << u
-            skip = False
-            for w in explored:
-                wb = 1 << w
-                if adj[u] & ~ub & ~wb == adj[w] & ~ub & ~wb:
-                    skip = True
+            rest = explored
+            while rest:
+                wb = rest & -rest
+                rest ^= wb
+                if (adj[u] ^ adj[wb.bit_length() - 1]) & ~(ub | wb) == 0:
                     break
-            if skip:
-                continue
-            explored.append(u)
-            rest = [w for w in unplaced if w != u]
-            row = adj[u]
-            nxt = colv.copy()
-            for w in rest:
-                nxt[w] = (nxt[w] << 1) | (row >> w & 1)
-            if depth:
-                cols.append(col)
-            if dfs(depth + 1, child_tight, cols, nxt, rest):
-                return True
-            if depth:
-                cols.pop()
-            if not tight:
+            else:
+                explored |= ub
+                if depth:
+                    cols.append(col)
+                nxt = (colv & ~(0xFFFF << 16 * u)) << 1 | _SPREAD[adj[u]]
+                if dfs(depth + 1, child_tight, cols, nxt, unplaced ^ ub):
+                    return True
+                if depth:
+                    cols.pop()
+                    ref = best[depth - 1]
                 tight = True  # best now extends this node's prefix
         return False
 
-    dfs(0, bound is not None, [], [0] * n, list(range(n)))
+    dfs(0, bound is not None, [], 0, (1 << n) - 1)
     return None if best is bound else best
 
 
@@ -151,9 +161,10 @@ def _digit(n: int, d: int) -> int:
     return 1 << 4 * (n - 1 - d)
 
 
-def _attachment_codes(n: int, padj: tuple[int, ...]) -> Callable[[int], list[int]]:
+def _attachment_codes(n: int, padj: tuple[int, ...]) -> Callable[[int], list[int] | None]:
     """Vertex codes of the child that joins vertex n - 1 to the vertex set
-    ``attach`` of the parent ``padj``, from per-parent tables.
+    ``attach`` of the parent ``padj``, from per-parent tables; None when
+    deleting some vertex gives a smaller degree sequence than the parent.
 
     Joining raises the degree of each w in ``attach`` by one, from the digit
     16 * up(w) to up(w), where up(w) = digit(deg w + 1). Each vertex's nsum
@@ -170,28 +181,25 @@ def _attachment_codes(n: int, padj: tuple[int, ...]) -> Callable[[int], list[int
     # a unit of nsum weighs 16 * 15 in a code, a unit of change 16
     base = [16 * (15 * 16 * raised[row] - _digit(n, d)) + d for d, row in zip(degs, padj)]
     drop = [16 * 15 * 15 * t for t in raised]
-    lift = [16 * 15 * raised[1 << v] + 1 for v in range(len(padj))]
+    table = [(v, b, row, 16 * 15 * raised[1 << v] + 1) for v, (b, row) in enumerate(zip(base, padj))]
 
-    def codes(attach: int) -> list[int]:
-        out = [b - drop[row & attach] for b, row in zip(base, padj)]
+    def codes(attach: int) -> list[int] | None:
         size = attach.bit_count()
+        own = 16 * (15 * raised[attach] - _digit(n, size)) + size
+        # the least code whose change exceeds the new vertex's
+        limit = ((own >> 4) + 1) << 4
         gained = 16 * 15 * _digit(n, size)
-        rest = attach
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            v = b.bit_length() - 1
-            out[v] += gained + lift[v]
-        out.append(16 * (15 * raised[attach] - _digit(n, size)) + size)
-        return out
+        out = []
+        for v, b, row, joined in table:
+            code = b - drop[row & attach]
+            if attach >> v & 1:
+                code += gained + joined
+            if code >= limit:
+                return None
+            out.append(code)
+        return out + [own]
 
     return codes
-
-
-def _deletion_below(codes: list[int]) -> bool:
-    """Whether deleting some vertex of the graph with vertex ``codes`` gives a
-    smaller degree sequence than deleting its last vertex."""
-    return max(codes) >> 4 > codes[-1] >> 4
 
 
 def _stable_cells(adj: tuple[int, ...], colour: list[int]) -> list[int]:
@@ -241,15 +249,15 @@ def _class_key(adj: tuple[int, ...], codes: list[int]) -> tuple[int, ...]:
 
 
 def _parent_is_canonical(
-    n: int, child: tuple[int, ...], codes: list[int], pcols: Callable[[], list[int]]
+    n: int, child: tuple[int, ...], codes: list[int], below: Callable[[tuple[int, ...]], bool]
 ) -> bool:
-    """Whether the parent (with minimal columns ``pcols()``) that ``child``
-    (with vertex codes ``codes``) was built from by adding vertex n - 1 is
-    the child's canonical parent: no single-vertex deletion reaches a class
-    with a smaller (degree sequence, canonical form) key. Deleting n - 1, or
-    a twin of it, gives the parent back, so it is not tried; a deletion with
-    a larger change than that one has a smaller degree sequence than the
-    parent."""
+    """Whether the parent that ``child`` (with vertex codes ``codes``) was
+    built from by adding vertex n - 1 is the child's canonical parent: no
+    single-vertex deletion reaches a class with a smaller (degree sequence,
+    canonical form) key; ``below(rows)`` tells whether a deletion with the
+    parent's degree sequence has a smaller canonical form. Deleting n - 1,
+    or a twin of it, gives the parent back, so it is not tried; a deletion
+    with a larger change than that one has a smaller degree sequence."""
     last = n - 1
     own = codes[last] >> 4
     for v in range(last):
@@ -260,7 +268,7 @@ def _parent_is_canonical(
             pair = 1 << v | 1 << last
             if child[v] & ~pair == child[last] & ~pair:
                 continue
-            if _minimal_columns(last, _delete_vertex_rows(n, child, v), pcols()) is not None:
+            if below(_delete_vertex_rows(n, child, v)):
                 return False
     return True
 
@@ -278,7 +286,9 @@ def _representatives(n: int) -> tuple[Graph, ...]:
     new = n - 1
     for parent in _representatives(n - 1):
         padj = parent.adj
-        pcols = cache(partial(_minimal_columns, n - 1, padj))
+        pcols = cache(partial(_minimal_columns, new, padj))
+        # attachments a and a ^ (1 << v) leave the same rows when v is deleted
+        below = cache(lambda rows: _minimal_columns(new, rows, pcols()) is not None)
         codes_of = _attachment_codes(n, padj)
         # swapping twins u < w of the parent is an automorphism, so a child
         # attached to w and not u is isomorphic to a smaller attachment in the
@@ -296,7 +306,7 @@ def _representatives(n: int) -> tuple[Graph, ...]:
         buckets: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
         for attach in attaches:
             codes = codes_of(attach)
-            if not _deletion_below(codes):
+            if codes is not None:
                 buckets.setdefault(tuple(sorted(codes)), []).append((attach, codes))
         for members in buckets.values():
             children = [
@@ -309,7 +319,7 @@ def _representatives(n: int) -> tuple[Graph, ...]:
                     seen.setdefault(_class_key(rows, codes), (rows, codes))
                 children = list(seen.values())
             out.extend(
-                _trusted(n, rows) for rows, codes in children if _parent_is_canonical(n, rows, codes, pcols)
+                _trusted(n, rows) for rows, codes in children if _parent_is_canonical(n, rows, codes, below)
             )
     return tuple(out)
 

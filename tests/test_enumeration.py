@@ -4,7 +4,7 @@ import hashlib
 import math
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +31,6 @@ from factorcrit.enumeration import (
     _attachment_codes,
     _canonical_bytes,
     _class_key,
-    _deletion_below,
     _minimal_columns,
     _representatives,
 )
@@ -286,7 +285,69 @@ class TestAllGraphs:
             _representatives.cache_clear()  # the order-9 classes hold about 105 MB of RSS
 
 
+def ordering_columns(adj: tuple[int, ...], order: tuple[int, ...]) -> list[int]:
+    """Columns 1..n-1 of ``adj`` relabelled by ``order`` (order[i] placed at
+    position i): column j has bit j - 1 - i set when order[i] ~ order[j]."""
+    return [
+        sum((adj[order[i]] >> order[j] & 1) << (j - 1 - i) for i in range(j)) for j in range(1, len(order))
+    ]
+
+
+def brute_columns(adj: tuple[int, ...], cells: list[int] | None = None) -> list[list[int]]:
+    """The columns of every ordering, or of every ordering that places the
+    ``cells`` one after another in the given order."""
+    n = len(adj)
+    cell_of = [next(i for i, c in enumerate(cells) if c >> v & 1) for v in range(n)] if cells else [0] * n
+    return [
+        ordering_columns(adj, order)
+        for order in permutations(range(n))
+        if all(cell_of[a] <= cell_of[b] for a, b in zip(order, order[1:]))
+    ]
+
+
+def twin_respecting_cells(adj: tuple[int, ...], colour: list[int], names: list[int]) -> list[int]:
+    """Cells from a vertex colouring, recoloured so that twins share a cell,
+    in the order in which ``names`` lists the colours."""
+    n = len(adj)
+    twin_of = [
+        min(w for w in range(n) if (adj[u] ^ adj[w]) & ~(1 << u | 1 << w) == 0) for u in range(n)
+    ]
+    cells = [sum(1 << v for v in range(n) if colour[twin_of[v]] == c) for c in names]
+    return [c for c in cells if c]
+
+
 class TestGenerationPredicates:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from((0.2, 0.5, 0.8)),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(0, 14),
+        st.data(),
+    )
+    def test_minimal_columns_match_brute_force(self, n, p, seed, other_seed, pair, data):
+        # every ordering tried: the unbounded minimum, the bounded search
+        # against minima of other graphs, and the cell-ordered minimum
+        adj = random_graph(n, p, seed).adj
+        columns = brute_columns(adj)
+        least = min(columns)
+        assert _minimal_columns(n, adj) == least
+        toggled = list(adj)
+        if n > 1:
+            a, b = list(combinations(range(n), 2))[pair % (n * (n - 1) // 2)]
+            toggled[a] ^= 1 << b
+            toggled[b] ^= 1 << a
+        for other in (random_graph(n, p, other_seed).adj, adj, tuple(toggled)):
+            bound = min(brute_columns(other))
+            below = _minimal_columns(n, adj, bound)
+            assert (below is None) == (least >= bound)
+            if below is not None:
+                assert below < bound and below in columns
+        colour = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        cells = twin_respecting_cells(adj, colour, data.draw(st.permutations([0, 1, 2])))
+        assert _minimal_columns(n, adj, cells=cells) == min(brute_columns(adj, cells))
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 8),
@@ -315,6 +376,8 @@ class TestGenerationPredicates:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 8), st.sampled_from((0.2, 0.5, 0.8)), st.integers(0, 10**6))
     def test_bucket_degree_test_matches_deletions(self, m, p, seed):
+        # an attachment is rejected exactly when some deletion of the child
+        # has a smaller degree sequence than the parent
         parent = random_graph(m, p, seed).adj
         pdeg = _degree_sequence(parent)
         n = m + 1
@@ -322,26 +385,30 @@ class TestGenerationPredicates:
         for attach in range(1 << m):
             rows = child_rows(parent, attach)
             degseqs = [_degree_sequence(_delete_vertex_rows(n, rows, v)) for v in range(n)]
-            assert _deletion_below(codes_of(attach)) == (min(degseqs) < pdeg)
+            assert (codes_of(attach) is None) == (min(degseqs) < pdeg)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 8), st.sampled_from((0.2, 0.5, 0.8)), st.integers(0, 10**6))
     def test_incremental_codes_match_scratch(self, m, p, seed):
+        # every attachment that is kept gets the codes by their definition
         parent = random_graph(m, p, seed).adj
         codes_of = _attachment_codes(m + 1, parent)
         for attach in range(1 << m):
-            assert codes_of(attach) == scratch_codes(child_rows(parent, attach))
+            codes = codes_of(attach)
+            if codes is not None:
+                assert codes == scratch_codes(child_rows(parent, attach))
 
     def test_bucket_key_partition_matches_oracle(self, graphs_by_order):
-        # every attachment of every parent of one order: the sorted codes and
-        # the from-scratch refinement key must split them the same way
+        # every kept attachment of every parent of one order: the sorted codes
+        # and the from-scratch refinement key must split them the same way
         for m in range(1, 7):
             pairs = set()
             for parent in graphs_by_order[m]:
                 codes_of = _attachment_codes(m + 1, parent.adj)
                 for attach in range(1 << m):
-                    key = tuple(sorted(codes_of(attach)))
-                    pairs.add((key, _refinement_key(child_rows(parent.adj, attach))))
+                    codes = codes_of(attach)
+                    if codes is not None:
+                        pairs.add((tuple(sorted(codes)), _refinement_key(child_rows(parent.adj, attach))))
             assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs}), f"m={m}"
 
 

@@ -57,6 +57,7 @@ from .criticality import (
     is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
     kfc_and_minimal,
+    kfc_and_minimal_batch,
     minimality_certificate,
     minimalize,
 )

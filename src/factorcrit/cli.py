@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .configurations import ClassificationError, classify
@@ -30,6 +31,7 @@ from .criticality import (
     check_connectivity_properties,
     is_minimal_kfc,
     kfc_and_minimal,
+    kfc_and_minimal_batch,
     minimalize,
 )
 from .decomp import gallai_edmonds
@@ -43,6 +45,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_SAMPLE_P = 0.8
+# graphs per bit-sliced batch of an exhaustive sweep, and per --jobs task
+SWEEP_CHUNK = 1024
 
 
 def _vertices(mask: int) -> list[int]:
@@ -62,6 +66,29 @@ def _scan_worker(task: tuple[Graph, int]) -> Record | None:
     g, k = task
     kfc, minimal = kfc_and_minimal(g, k)
     return (to_graph6(g), minimal, min_degree(g)) if kfc else None
+
+
+def _batch_worker(task: tuple[tuple[Graph, ...], int]) -> list[Record | None]:
+    """:func:`_scan_worker` of every graph of one batch, from one call of the
+    bit-sliced kernel."""
+    graphs, k = task
+    kfc, minimal = kfc_and_minimal_batch(graphs, k)
+    # bit i at index i; the lanes are read once, never shifted per graph
+    kfc_bits = format(kfc, "b")[::-1]
+    minimal_bits = format(minimal, f"0{len(kfc_bits)}b")[::-1]
+    out: list[Record | None] = [None] * len(graphs)
+    i = kfc_bits.find("1")
+    while i >= 0:
+        g = graphs[i]
+        out[i] = (to_graph6(g), minimal_bits[i] == "1", min_degree(g))
+        i = kfc_bits.find("1", i + 1)
+    return out
+
+
+def _batches(graphs: Iterable[Graph], k: int) -> Iterator[tuple[tuple[Graph, ...], int]]:
+    it = iter(graphs)
+    while batch := tuple(islice(it, SWEEP_CHUNK)):
+        yield batch, k
 
 
 def _sample_worker(task: tuple[int, float, int, int]) -> Record | None:
@@ -104,7 +131,10 @@ def verify_scan(args: argparse.Namespace) -> int:
     they arrive, in input order, also under ``--jobs`` > 1 workers; only
     counts and the counterexamples' graph6 strings are kept, and for a
     ``file:`` source the bytes that were read, so that the run log hashes
-    exactly what was scanned. Returns the exit code.
+    exactly what was scanned. ``all`` is decided in batches of
+    ``SWEEP_CHUNK`` classes by the bit-sliced kernel, ``file:`` and
+    ``sample`` one graph at a time; the records are the same either way.
+    Returns the exit code.
     """
     n, k, source, fmt, jobs = args.n, args.k, args.source, args.format, args.jobs
     if (n + k) % 2:
@@ -122,20 +152,20 @@ def verify_scan(args: argparse.Namespace) -> int:
     if source == "sample":
         worker, chunk = _sample_worker, max(1, args.samples // (jobs * 8))
         tasks: Iterable = ((n, args.p, k, args.seed + i) for i in range(args.samples))
-    else:
-        if source == "all":
-            graphs: Iterable[Graph] = all_graphs(n)
-        elif source.startswith("file:"):
-            data, stream = _read_graph6_file(source[len("file:"):])
-            graphs = list(stream)
-            bad = [g.n for g in graphs if g.n != n]
-            if bad:
-                raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
-        else:
-            raise GraphError(f"unknown source {source!r}")
-        # the length of an exhaustive stream is not known up front
+    elif source == "all":
+        # a task is a batch, and its result is a list of per-graph results
+        worker, chunk = _batch_worker, 1
+        tasks = _batches(all_graphs(n), k)
+    elif source.startswith("file:"):
+        data, stream = _read_graph6_file(source[len("file:"):])
+        graphs = list(stream)
+        bad = [g.n for g in graphs if g.n != n]
+        if bad:
+            raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
         worker, chunk = _scan_worker, 256
         tasks = ((g, k) for g in graphs)
+    else:
+        raise GraphError(f"unknown source {source!r}")
 
     pool = None
     if jobs > 1:
@@ -150,7 +180,10 @@ def verify_scan(args: argparse.Namespace) -> int:
     with pool or nullcontext():
         if fmt == "tsv":
             out.write("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n")
-        for rec in pool.imap(worker, tasks, chunk) if pool else map(worker, tasks):
+        results = pool.imap(worker, tasks, chunk) if pool else map(worker, tasks)
+        if worker is _batch_worker:
+            results = chain.from_iterable(results)
+        for rec in results:
             scanned += 1
             if rec is None:
                 continue

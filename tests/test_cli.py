@@ -293,7 +293,7 @@ class TestVerify:
     def test_counterexample_path(self, capsys, monkeypatch, tmp_path, fmt):
         # report every graph as minimal 2-factor-critical: each one whose
         # minimum degree is not 3 is then a counterexample
-        monkeypatch.setattr(cli, "kfc_and_minimal", lambda g, k: (True, True))
+        monkeypatch.setattr(cli, "kfc_and_minimal_batch", lambda gs, k: ((1 << len(gs)) - 1,) * 2)
         log = tmp_path / "runs.ndjson"
         code, out, err = run(
             capsys, "verify", "--n", "6", "--k", "2", "--source", "all",
@@ -339,6 +339,19 @@ class TestVerify:
         entry = json.loads(log.read_text())
         assert entry["counts"] == {"scanned": 156, "kfc": 156, "minimal": 156}
         assert entry["verdict"] == "fail"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_exhaustive_sweeps_match_file_source(self, capsys, tmp_path, reps8, jobs):
+        # ``all`` decides each batch of classes bit-sliced, ``file:`` each
+        # graph on its own: stdout, stderr and exit code must not differ
+        for n, k in [(4, 2), (5, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 2), (8, 4), (8, 6), (8, 0)]:
+            path = tmp_path / f"order{n}.g6"
+            if not path.exists():
+                path.write_text("".join(to_graph6(g) + "\n" for g in reps8[n]))
+            args = ("verify", "--n", str(n), "--k", str(k), "--format", "json", "--jobs", jobs)
+            exhaustive = run(capsys, *args, "--source", "all")
+            assert exhaustive == run(capsys, *args, "--source", f"file:{path}"), (n, k)
+            assert exhaustive[0] == 0 and f"scanned={len(reps8[n])} " in exhaustive[2]
 
     def test_determinism_across_runs(self, capsys):
         args = ("verify", "--n", "7", "--k", "1", "--source", "sample",

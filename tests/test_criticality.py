@@ -24,6 +24,7 @@ from factorcrit import (
     is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
     kfc_and_minimal,
+    kfc_and_minimal_batch,
     mask_of,
     min_degree,
     minimality_certificate,
@@ -88,6 +89,84 @@ class TestSweepPrefilter:
         assert min_degree(g) <= 2
         assert main(["analyze", "--graph", to_graph6(g), "--k", "2"]) == 0
         assert "failing set: [0, 2]\n" in capsys.readouterr().out
+
+
+def _per_graph_lanes(graphs: list[Graph], k: int) -> tuple[int, int]:
+    """The batch kernel's two lanes, built from the per-graph path."""
+    kfc = minimal = 0
+    for i, g in enumerate(graphs):
+        is_kfc, is_minimal = kfc_and_minimal(g, k)
+        kfc |= is_kfc << i
+        minimal |= is_minimal << i
+    return kfc, minimal
+
+
+@st.composite
+def random_batches(draw) -> tuple[list[Graph], int]:
+    """(graphs, k): 1..300 graphs G(n, p) of one order n <= 12 with p from
+    0.4 to 0.95, some of them drawn twice, then a minimalized copy of each
+    of the first drawn k-FC graphs, and any k in 0..n-1."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n - 1))
+    size = draw(st.integers(1, 300))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=size, max_size=size))
+    repeats = draw(st.lists(st.integers(0, size - 1), max_size=size))
+    seeds += [seeds[i] for i in repeats]
+    ps = (0.4, 0.6, 0.8, 0.9, 0.95)
+    graphs = [random_graph(n, ps[seed % len(ps)], seed) for seed in seeds]
+    return graphs + _minimalized(graphs[:draw(st.integers(0, 10))], k), k
+
+
+def _minimalized(graphs: list[Graph], k: int) -> list[Graph]:
+    """A minimal k-FC spanning subgraph of each k-FC graph of ``graphs``."""
+    return [minimalize(g, k, seed) for seed, g in enumerate(graphs) if kfc_and_minimal(g, k)[0]]
+
+
+class TestBatchKernel:
+    """``kfc_and_minimal_batch`` against the per-graph path, bit for bit."""
+
+    def test_every_class_of_order_at_most_8(self, reps8):
+        for n, graphs in reps8.items():
+            graphs = list(graphs)
+            for k in range(n):
+                assert kfc_and_minimal_batch(graphs, k) == _per_graph_lanes(graphs, k), (n, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_batches())
+    def test_random_batches(self, case):
+        graphs, k = case
+        assert kfc_and_minimal_batch(graphs, k) == _per_graph_lanes(graphs, k)
+
+    @pytest.mark.parametrize("n, k", [(9, 1), (9, 3), (9, 5), (9, 7), (10, 2), (12, 4)])
+    def test_two_byte_rows(self, n, k):
+        # rows of n >= 9 take two bytes; lanes uv with u >= 8 (n >= 10) come
+        # from the second byte plane
+        graphs = [random_graph(n, 0.75 + 0.05 * (seed % 5), seed) for seed in range(300)]
+        graphs += _minimalized(graphs[:40], k)
+        kfc, minimal = want = _per_graph_lanes(graphs, k)
+        assert kfc and minimal and kfc_and_minimal_batch(graphs, k) == want
+
+    def test_batch_longer_than_the_decimal_digit_limit(self):
+        # int(s, 10) refuses strings of more than 4,300 digits on Python
+        # 3.11+; the lanes are parsed in base 2, which is exempt
+        graphs = [random_graph(9, 0.85, seed) for seed in range(4400)]
+        graphs += _minimalized(graphs[:100], 1)
+        kfc, minimal = want = _per_graph_lanes(graphs, 1)
+        assert minimal >> 4400 and kfc_and_minimal_batch(graphs, 1) == want
+
+    def test_every_edge_of_a_minimal_graph_is_tested(self):
+        # C_9 is minimal 1-FC; one chord makes it not minimal
+        graphs = [cycle_graph(9), graph_from_edges(9, cycle_graph(9).edges() + [(0, 4)])]
+        assert kfc_and_minimal_batch(graphs * 3, 1) == (0b111111, 0b010101)
+
+    def test_bad_batches(self):
+        assert kfc_and_minimal_batch([], 2) == (0, 0)
+        with pytest.raises(GraphError):
+            kfc_and_minimal_batch([complete_graph(4), complete_graph(5)], 1)
+        with pytest.raises(GraphError):
+            kfc_and_minimal_batch([complete_graph(4)], 4)
+        with pytest.raises(GraphError):
+            kfc_and_minimal_batch([complete_graph(17)], 1)
 
 
 class TestOddComponentEquivalence:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -22,11 +24,13 @@ from factorcrit import (
     cycle_graph,
     delete_edge,
     graph_from_edges,
+    kfc_and_minimal,
     parse_graph6,
     random_graph,
     read_graph6_stream,
     to_graph6,
 )
+from factorcrit.cli import main
 from factorcrit.enumeration import (
     _attachment_codes,
     _canonical_bytes,
@@ -281,6 +285,22 @@ class TestAllGraphs:
             assert edge_histogram(9, reps) == burnside_edge_counts(9)
             stream = "".join(to_graph6(g) + "\n" for g in reps).encode()
             assert hashlib.sha256(stream).hexdigest() == ORDER_9_SHA256
+            del stream
+            # the four order-9 sweeps on the classes generated above
+            for k, kfc, minimal in ((1, 184_036, 17), (3, 13_484, 74), (5, 51, 6), (7, 1, 1)):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["verify", "--n", "9", "--k", str(k), "--source", "all"])
+                lines = out.getvalue().splitlines()
+                assert code == 0 and err.getvalue() == ""
+                assert lines.pop() == f"scanned=274668 kfc={kfc} minimal={minimal} failures=0"
+                if k >= 5:  # few records: check each one against the per-graph path
+                    want = []
+                    for g in reps:
+                        is_kfc, is_minimal = kfc_and_minimal(g, k)
+                        if is_kfc:
+                            want.append([to_graph6(g), f"minimal={is_minimal}"])
+                    assert [line.split()[:2] for line in lines] == want
         finally:
             _representatives.cache_clear()  # the order-9 classes hold about 105 MB of RSS
 

@@ -126,14 +126,15 @@ def verify_scan(args: argparse.Namespace) -> int:
     k + 1 is a counterexample.
 
     Every input check (the flags, the source, the n <= 9 cap of exhaustive
-    generation, and the order of every graph in a ``file:`` source) comes
-    before the first byte is written. Records are then written to stdout as
-    they arrive, in input order, also under ``--jobs`` > 1 workers; only
-    counts and the counterexamples' graph6 strings are kept, and for a
-    ``file:`` source the bytes that were read, so that the run log hashes
-    exactly what was scanned. ``all`` is decided in batches of
-    ``SWEEP_CHUNK`` classes by the bit-sliced kernel, ``file:`` and
-    ``sample`` one graph at a time; the records are the same either way.
+    generation, the 1..64 range of sampled orders, and the order of every
+    graph in a ``file:`` source) comes before the first byte is written.
+    Records are then written to stdout as they arrive, in input order, also
+    under ``--jobs`` > 1 workers; only counts and the counterexamples'
+    graph6 strings are kept, and for a ``file:`` source the bytes that were
+    read, so that the run log hashes exactly what was scanned. ``all`` is
+    decided in batches of ``SWEEP_CHUNK`` classes by the bit-sliced kernel,
+    ``file:`` and ``sample`` one graph at a time; the records are the same
+    either way.
     Returns the exit code.
     """
     n, k, source, fmt, jobs = args.n, args.k, args.source, args.format, args.jobs
@@ -150,6 +151,8 @@ def verify_scan(args: argparse.Namespace) -> int:
 
     data = None
     if source == "sample":
+        if not 1 <= n <= 64:  # random_graph's range, checked before the tsv header
+            raise GraphError(f"vertex count {n} outside 1..64")
         worker, chunk = _sample_worker, max(1, args.samples // (jobs * 8))
         tasks: Iterable = ((n, args.p, k, args.seed + i) for i in range(args.samples))
     elif source == "all":

@@ -7,9 +7,9 @@ leaves exactly |X| + 2 factor-critical components with u and v in distinct
 ones. The triple (|X|, component-size multiset, endpoint component sizes)
 then lands in a fixed fourteen-row table, labeled C1..C14.
 
-The module also builds host graphs of order n >= 12 realizing each label
-(used to exercise the non-neighborhood intersection bounds) and carries
-those bounds per label.
+Each row holds a label's signature and its bounds on |N̄[u] ∩ N̄[v]|. The
+one table is read by the classifier, by the builder of host graphs of order
+n >= 12 realizing each label, and by the intersection-bounds check.
 """
 
 from __future__ import annotations
@@ -74,22 +74,24 @@ _T5 = EdgePlacement.TRIVIAL_QUINTUPLE
 _P33 = EdgePlacement.TRIPLE_TRIPLE
 _B2 = EdgePlacement.BETWEEN_TWO
 
-_SIGNATURES: list[tuple[ConfigLabel, ConfigSignature]] = [
-    (ConfigLabel.C1, ConfigSignature(0, (3, 7), _B2)),
-    (ConfigLabel.C2, ConfigSignature(0, (5, 5), _B2)),
-    (ConfigLabel.C3, ConfigSignature(1, (1, 1, 7), _TT)),
-    (ConfigLabel.C4, ConfigSignature(1, (1, 3, 5), _T5)),
-    (ConfigLabel.C5, ConfigSignature(1, (1, 3, 5), _T3)),
-    (ConfigLabel.C6, ConfigSignature(1, (3, 3, 3), _P33)),
-    (ConfigLabel.C7, ConfigSignature(2, (1, 1, 1, 5), _T5)),
-    (ConfigLabel.C8, ConfigSignature(2, (1, 1, 1, 5), _TT)),
-    (ConfigLabel.C9, ConfigSignature(2, (1, 1, 3, 3), _P33)),
-    (ConfigLabel.C10, ConfigSignature(2, (1, 1, 3, 3), _T3)),
-    (ConfigLabel.C11, ConfigSignature(2, (1, 1, 3, 3), _TT)),
-    (ConfigLabel.C12, ConfigSignature(3, (1, 1, 1, 1, 3), _TT)),
-    (ConfigLabel.C13, ConfigSignature(3, (1, 1, 1, 1, 3), _T3)),
-    (ConfigLabel.C14, ConfigSignature(4, (1, 1, 1, 1, 1, 1), _TT)),
-]
+# the paper's table, one row per label in label order: the signature, then
+# the bounds (lo, hi) on |N̄[u] ∩ N̄[v]| when every degree is at least n - 8
+_TABLE: dict[ConfigLabel, tuple[ConfigSignature, tuple[int, int]]] = {
+    ConfigLabel.C1: (ConfigSignature(0, (3, 7), _B2), (0, 5)),
+    ConfigLabel.C2: (ConfigSignature(0, (5, 5), _B2), (0, 5)),
+    ConfigLabel.C3: (ConfigSignature(1, (1, 1, 7), _TT), (7, 7)),
+    ConfigLabel.C4: (ConfigSignature(1, (1, 3, 5), _T5), (3, 5)),
+    ConfigLabel.C5: (ConfigSignature(1, (1, 3, 5), _T3), (5, 5)),
+    ConfigLabel.C6: (ConfigSignature(1, (3, 3, 3), _P33), (3, 5)),
+    ConfigLabel.C7: (ConfigSignature(2, (1, 1, 1, 5), _T5), (2, 5)),
+    ConfigLabel.C8: (ConfigSignature(2, (1, 1, 1, 5), _TT), (6, 7)),
+    ConfigLabel.C9: (ConfigSignature(2, (1, 1, 3, 3), _P33), (2, 5)),
+    ConfigLabel.C10: (ConfigSignature(2, (1, 1, 3, 3), _T3), (4, 5)),
+    ConfigLabel.C11: (ConfigSignature(2, (1, 1, 3, 3), _TT), (6, 7)),
+    ConfigLabel.C12: (ConfigSignature(3, (1, 1, 1, 1, 3), _TT), (5, 7)),
+    ConfigLabel.C13: (ConfigSignature(3, (1, 1, 1, 1, 3), _T3), (3, 5)),
+    ConfigLabel.C14: (ConfigSignature(4, (1, 1, 1, 1, 1, 1), _TT), (4, 7)),
+}
 
 # endpoint component sizes, smaller first, of each placement with X nonempty
 _ENDPOINT_SIZES: dict[EdgePlacement, tuple[int, int]] = {
@@ -100,15 +102,18 @@ _ENDPOINT_SIZES: dict[EdgePlacement, tuple[int, int]] = {
 }
 # each label's endpoint component sizes, smaller first; with X empty the edge
 # joins the only two components (between-the-two), so they are those sizes
-_ENDS = {label: _ENDPOINT_SIZES.get(sig.placement, sig.component_sizes) for label, sig in _SIGNATURES}
+_ENDS = {
+    label: _ENDPOINT_SIZES.get(sig.placement, sig.component_sizes)
+    for label, (sig, _) in _TABLE.items()
+}
 _BY_SIGNATURE = {
-    (sig.x_size, sig.component_sizes, _ENDS[label]): label for label, sig in _SIGNATURES
+    (sig.x_size, sig.component_sizes, _ENDS[label]): label for label, (sig, _) in _TABLE.items()
 }
 
 
 def signature_table() -> list[tuple[ConfigLabel, ConfigSignature]]:
     """The fixed fourteen-row table, in label order."""
-    return list(_SIGNATURES)
+    return [(label, sig) for label, (sig, _) in _TABLE.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +147,8 @@ class ClassificationResult:
         return self.entries[0]
 
     def labels(self) -> list[ConfigLabel]:
-        seen = []
-        for entry in self.entries:
-            if entry.label not in seen:
-                seen.append(entry.label)
-        return seen
+        """The distinct labels, in entry order."""
+        return list(dict.fromkeys(entry.label for entry in self.entries))
 
 
 def _check_preconditions(h: Graph, e: Edge) -> None:
@@ -223,7 +225,7 @@ class BuiltInstance:
     s_e: VertexSet
 
 
-def _component_edges(block: list[int], style: str) -> list[Edge]:
+def _component_edges(block: range, style: str) -> list[Edge]:
     if len(block) == 1:
         return []
     if style == "clique":
@@ -252,28 +254,19 @@ def build_instance(
         raise GraphError(f"host order {n} below 12")
     if x_attachment not in ("complete", "minimal"):
         raise GraphError(f"unknown attachment mode {x_attachment!r}")
-    sig = dict(_SIGNATURES)[label]
+    sig = _TABLE[label][0]
     u_size, v_size = _ENDS[label]
-
     leftover_sizes = list(sig.component_sizes)
     leftover_sizes.remove(u_size)
     leftover_sizes.remove(v_size)
-    leftover_sizes.sort(reverse=True)
 
-    next_v = 0
-
-    def take(count: int) -> list[int]:
-        nonlocal next_v
-        block = list(range(next_v, next_v + count))
-        next_v += count
-        return block
-
-    u_block = take(u_size)
-    v_block = take(v_size)
-    leftovers = [take(size) for size in leftover_sizes]
-    x_block = take(sig.x_size)
-    s_block = take(n - 10)
-    assert next_v == n
+    # consecutive vertex blocks in the documented layout order
+    blocks, start = [], 0
+    for size in (u_size, v_size, *sorted(leftover_sizes, reverse=True), sig.x_size, n - 10):
+        blocks.append(range(start, start + size))
+        start += size
+    assert start == n
+    u_block, v_block, *leftovers, x_block, s_block = blocks
 
     u, v = u_block[0], v_block[0]
     edges: list[Edge] = [(u, v)]
@@ -309,15 +302,11 @@ def build_instance(
         )
 
     s_e = mask_of(s_block)
-    _check_built(host, (u, v), s_e)
-    return BuiltInstance(graph=host, edge=(u, v), s_e=s_e)
-
-
-def _check_built(host: Graph, e: Edge, s_e: VertexSet) -> None:
     try:
-        _check_preconditions(core_graph(host, e, s_e), e)
+        _check_preconditions(core_graph(host, (u, v), s_e), (u, v))
     except ClassificationError as exc:
         raise RuntimeError(f"built core fails precondition {exc.reason}: {exc}") from None
+    return BuiltInstance(graph=host, edge=(u, v), s_e=s_e)
 
 
 def core_graph(host: Graph, e: Edge, s_e: VertexSet) -> Graph:
@@ -346,27 +335,9 @@ class IntersectionBounds:
     hi: int
 
 
-_BOUNDS: dict[ConfigLabel, tuple[int, int]] = {
-    ConfigLabel.C1: (0, 5),
-    ConfigLabel.C2: (0, 5),
-    ConfigLabel.C3: (7, 7),
-    ConfigLabel.C4: (3, 5),
-    ConfigLabel.C5: (5, 5),
-    ConfigLabel.C6: (3, 5),
-    ConfigLabel.C7: (2, 5),
-    ConfigLabel.C8: (6, 7),
-    ConfigLabel.C9: (2, 5),
-    ConfigLabel.C10: (4, 5),
-    ConfigLabel.C11: (6, 7),
-    ConfigLabel.C12: (5, 7),
-    ConfigLabel.C13: (3, 5),
-    ConfigLabel.C14: (4, 7),
-}
-
-
 def intersection_bounds(label: ConfigLabel) -> IntersectionBounds:
     """Fixed per-label bounds; unstated sides are the universal 0 and 7."""
-    lo, hi = _BOUNDS[label]
+    lo, hi = _TABLE[label][1]
     return IntersectionBounds(label=label, lo=lo, hi=hi)
 
 

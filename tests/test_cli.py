@@ -221,6 +221,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: edge probability {p} outside [0, 1]\n"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
+    def test_sample_order_out_of_range_exit_2(self, capsys, fmt, jobs):
+        # the order is refused before the first byte, even the tsv header
+        code, out, err = run(
+            capsys, "verify", "--n", "66", "--k", "2", "--source", "sample",
+            "--format", fmt, "--jobs", jobs,
+        )
+        assert (code, out, err) == (2, "", "error: vertex count 66 outside 1..64\n")
+
     def test_file_source(self, capsys, tmp_path):
         path = tmp_path / "graphs.g6"
         path.write_text(K6 + "\n" + C6 + "\n")

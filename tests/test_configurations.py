@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from factorcrit import (
@@ -35,6 +37,11 @@ from factorcrit import configurations
 from conftest import disjoint_cliques, petersen
 
 ALL_LABELS = list(ConfigLabel)
+
+# SHA-256 of every host build_instance lays out, one line per (label, n,
+# style, attachment) in loop order: repr((adj, edge, s_e)), or the message of
+# the HostBuildError raised instead
+HOSTS_SHA256 = "c35e945fb548b32a086b7dda8265bd0cbea62b470d7ceca79b90e3b6889c7d86"
 
 
 def two_cliques_with_gap(a: int, b: int):
@@ -206,6 +213,20 @@ class TestBuildInstance:
         without = delete_edge(inst.graph, inst.edge)
         with pytest.raises(GraphError, match=f"edge \\({u},{v}\\) not present"):
             core_graph(without, inst.edge, inst.s_e)
+
+    def test_host_digest(self):
+        lines = []
+        for label in ALL_LABELS:
+            for n in (12, 14, 16):
+                for style in ("clique", "cycle"):
+                    for attachment in ("complete", "minimal"):
+                        try:
+                            inst = build_instance(label, n, style, attachment)
+                        except HostBuildError as exc:
+                            lines.append(str(exc))
+                            continue
+                        lines.append(repr((inst.graph.adj, inst.edge, inst.s_e)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == HOSTS_SHA256
 
     def test_rejects_small_host(self):
         with pytest.raises(GraphError):

@@ -104,15 +104,15 @@ def _sample_worker(task: tuple[int, float, int, int]) -> Record | None:
 def _format_record(rec: Record, failed: bool, n: int, k: int, fmt: str) -> str:
     g6, minimal, dmin = rec
     verdict = "fail" if failed else "pass"
-    witness = {"min_degree": dmin, "expected": k + 1} if failed else None
+    # the bytes json.dumps writes, with its key order and separators
+    witness = f'{{"min_degree": {dmin}, "expected": {k + 1}}}' if failed else ""
     if fmt == "json":
-        return json.dumps({
-            "graph6": g6, "n": n, "k": k, "is_kfc": True, "is_minimal": minimal,
-            "min_degree": dmin, "verdict": verdict, "witness": witness,
-        }) + "\n"
+        g6 = g6.replace("\\", "\\\\")  # the only byte in 63..126 that JSON escapes
+        return (f'{{"graph6": "{g6}", "n": {n}, "k": {k}, "is_kfc": true, "is_minimal": '
+                f'{"true" if minimal else "false"}, "min_degree": {dmin}, "verdict": "{verdict}", '
+                f'"witness": {witness or "null"}}}\n')
     if fmt == "tsv":
-        wit = json.dumps(witness) if witness else ""
-        return f"{g6}\t{n}\t{k}\tTrue\t{minimal}\t{dmin}\t{verdict}\t{wit}\n"
+        return f"{g6}\t{n}\t{k}\tTrue\t{minimal}\t{dmin}\t{verdict}\t{witness}\n"
     # every record has order n, so its graph6 string has one fixed length
     return f"{g6}  minimal={str(minimal):<5}  min_degree={dmin}  verdict={verdict}\n"
 
@@ -210,7 +210,7 @@ def verify_scan(args: argparse.Namespace) -> int:
             data = f"{source}:n={n}:k={k}:samples={args.samples}:p={args.p}:seed={args.seed}".encode()
         entry = {
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "command": " ".join(sys.argv),
+            "command": " ".join(["factorcrit", *args.argv]),
             "input_digest": hashlib.sha256(data).hexdigest(),
             "seed": args.seed,
             "counts": {"scanned": scanned, "kfc": kfc, "minimal": minimal},
@@ -435,6 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv  # for the run log
     try:
         return args.func(args)
     except (GraphError, OSError) as exc:

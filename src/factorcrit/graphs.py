@@ -8,6 +8,7 @@ set iff vertex ``v`` belongs to the set.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -160,38 +161,42 @@ def cycle_graph(n: int) -> Graph:
 # first. Payload: upper-triangle bits x(0,1), x(0,2), x(1,2), x(0,3), ... in
 # column order, packed into 6-bit groups (high bit first), each group +63,
 # zero-padded to a byte boundary.
+#
+# The 6-bit groups are base64 digits in another alphabet, and payload bit
+# j(j-1)/2 + i is bit i of row j (i < j): an int holding each bit there,
+# written little-endian with each byte's bits reversed, is the payload.
 # ---------------------------------------------------------------------------
 
-
-def _as_text(data: str | bytes) -> str:
-    if isinstance(data, bytes):
-        data = data.decode("ascii", errors="strict")
-    return data.strip()
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6 = bytes(range(63, 127))
+_TO_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6, _BASE64)
 
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode a single graph6 line (optional ``>>graph6<<`` header)."""
     try:
-        line = _as_text(text)
+        line = (text.decode("ascii") if isinstance(text, bytes) else text).strip()
     except UnicodeDecodeError as exc:
         raise Graph6Error(f"non-ASCII graph6 input: {exc}") from None
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:
         raise Graph6Error("empty graph6 line")
-    data = [ord(c) - 63 for c in line]
-    if any(x < 0 or x > 63 for x in data):
+    data = line.encode("utf-8", "surrogatepass")  # any non-ASCII text gives bytes >= 128
+    if data.translate(None, _GRAPH6):
         raise Graph6Error("byte outside 63..126 in graph6 line")
 
-    if data[0] <= 62:
-        n = data[0]
+    if data[0] <= 125:
+        n = data[0] - 63
         body = data[1:]
     else:
         if len(data) < 4:
             raise Graph6Error("truncated extended size prefix")
-        if data[1] == 63:
+        if data[1] == 126:
             raise Graph6Error("8-byte size prefix exceeds supported order")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | data[3] - 63
         body = data[4:]
     if n > MAX_VERTICES:
         raise Graph6Error(f"graph order {n} exceeds {MAX_VERTICES}")
@@ -202,20 +207,27 @@ def parse_graph6(text: str | bytes) -> Graph:
         kind = "truncated" if len(body) < nbytes else "oversized"
         raise Graph6Error(f"{kind} graph6 payload: {len(body)} bytes, expected {nbytes}")
 
+    # zero digits ("A") complete the last base64 quantum
+    payload = binascii.a2b_base64(body.translate(_FROM_GRAPH6) + b"A" * (-nbytes % 4))
+    acc = int.from_bytes(payload.translate(_REV8), "little")
+    if acc >> nbits:
+        raise Graph6Error("nonzero padding bits in graph6 payload")
     rows = [0] * n
-    idx = 0
     for j in range(1, n):
-        for i in range(j):
-            group, offset = divmod(idx, 6)
-            if body[group] >> (5 - offset) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    if nbits % 6:
-        pad = body[-1] & ((1 << (6 - nbits % 6)) - 1)
-        if pad:
-            raise Graph6Error("nonzero padding bits in graph6 payload")
+        rows[j] = low = acc >> (j * (j - 1) >> 1) & ((1 << j) - 1)
+        while low:
+            b = low & -low
+            low ^= b
+            rows[b.bit_length() - 1] |= 1 << j
     return _trusted(n, tuple(rows))
+
+
+def _graph6_line(n: int, payload: bytes) -> bytes:
+    """graph6 line of order ``n`` whose payload bits, high bit first, are
+    ``payload``: a multiple of 3 bytes, zero past bit n(n-1)/2."""
+    prefix = bytes((n + 63,) if n <= 62 else (126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63))
+    digits = binascii.b2a_base64(payload, newline=False)[:(n * (n - 1) // 2 + 5) // 6]
+    return prefix + digits.translate(_TO_GRAPH6)
 
 
 def _encode_columns(n: int, cols: list[int]) -> bytes:
@@ -223,31 +235,21 @@ def _encode_columns(n: int, cols: list[int]) -> bytes:
 
     Column j holds x(0,j), ..., x(j-1,j) in j bits, x(0,j) in the highest.
     """
-    if n <= 62:
-        out = [n + 63]
-    else:
-        out = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     acc = 0
     for j, col in enumerate(cols, start=1):
         acc = acc << j | col
     nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    acc <<= pad
-    for shift in range(nbits + pad - 6, -1, -6):
-        out.append((acc >> shift & 63) + 63)
-    return bytes(out)
+    nbytes = (nbits + 23) // 24 * 3
+    return _graph6_line(n, (acc << (8 * nbytes - nbits)).to_bytes(nbytes, "big"))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 line (no trailing newline)."""
-    cols = []
-    for j in range(1, g.n):
-        row = g.adj[j]
-        col = 0
-        for i in range(j):
-            col = col << 1 | (row >> i & 1)
-        cols.append(col)
-    return _encode_columns(g.n, cols).decode("ascii")
+    acc = 0
+    for j, row in enumerate(g.adj):
+        acc |= (row & ((1 << j) - 1)) << (j * (j - 1) >> 1)
+    nbytes = (g.n * (g.n - 1) // 2 + 23) // 24 * 3
+    return _graph6_line(g.n, acc.to_bytes(nbytes, "little").translate(_REV8)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

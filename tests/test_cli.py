@@ -173,6 +173,24 @@ class TestVerify:
         assert all(r["min_degree"] == 3 for r in minimal)
         assert "failures=0" in err
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(st.just("\\") | st.characters(min_codepoint=63, max_codepoint=126), min_size=1),
+        st.booleans(), st.booleans(), st.integers(1, 64), st.integers(0, 63), st.integers(0, 63),
+    )
+    def test_record_template_matches_json_dumps(self, g6, minimal, failed, n, k, dmin):
+        # the records are written from a template; json.dumps of the record is the reference
+        witness = {"min_degree": dmin, "expected": k + 1} if failed else None
+        record = {
+            "graph6": g6, "n": n, "k": k, "is_kfc": True, "is_minimal": minimal,
+            "min_degree": dmin, "verdict": "fail" if failed else "pass", "witness": witness,
+        }
+        line = cli._format_record((g6, minimal, dmin), failed, n, k, "json")
+        assert line == json.dumps(record) + "\n"
+        assert json.loads(line) == record
+        tsv = cli._format_record((g6, minimal, dmin), failed, n, k, "tsv")
+        assert tsv.split("\t")[-1] == (json.dumps(witness) if failed else "") + "\n"
+
     def test_tsv_header(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--n", "4", "--k", "2", "--source", "all", "--format", "tsv"
@@ -382,6 +400,8 @@ class TestVerify:
         }
         assert entries[0]["verdict"] == "pass"
         assert entries[0]["input_digest"] == entries[1]["input_digest"]
+        # the arguments main parsed, not the host process's sys.argv
+        assert entries[0]["command"] == "factorcrit " + " ".join(args)
 
     def test_run_log_hashes_scanned_bytes(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "graphs.g6"

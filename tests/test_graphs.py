@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from factorcrit import (
     Graph6Error,
     GraphError,
     add_edge,
+    all_graphs,
     bits,
     closed_nonneighborhood,
     common_nonneighborhood,
@@ -23,6 +25,7 @@ from factorcrit import (
     mask_of,
     min_degree,
     parse_graph6,
+    random_graph,
     to_graph6,
 )
 from conftest import disjoint_cliques, petersen
@@ -134,11 +137,37 @@ class TestGraph6:
         assert parse_graph6(to_graph6(g)) == g
 
     def test_round_trip_thousand_seeded_graphs(self):
-        from factorcrit import random_graph
-
         for i in range(1000):
             g = random_graph(2 + i % 63, (0.1, 0.3, 0.5, 0.9)[i % 4], i)
             assert parse_graph6(to_graph6(g)) == g
+
+
+def _oracle_graphs():
+    """Every class of order <= 8, seeded G(n, p) on both sides of the
+    extended size prefix (n >= 63), and the orders 0 and 1."""
+    yield Graph(0, ())
+    for n in range(1, 9):
+        yield from all_graphs(n)
+    for n in (9, 16, 33, 62, 63, 64):
+        for i, p in enumerate((0.0, 0.1, 0.5, 0.9, 1.0)):
+            yield random_graph(n, p, 1000 * n + i)
+
+
+class TestGraph6Oracle:
+    """The codec against networkx's graph6 reader and writer, which share no
+    code with it."""
+
+    def test_against_networkx(self):
+        for g in _oracle_graphs():
+            ng = nx.Graph()
+            ng.add_nodes_from(range(g.n))
+            ng.add_edges_from(g.edges())
+            line = nx.to_graph6_bytes(ng, nodes=range(g.n), header=False)
+            assert to_graph6(g) + "\n" == line.decode("ascii")
+            assert parse_graph6(line) == g
+            back = nx.from_graph6_bytes(to_graph6(g).encode("ascii"))
+            assert back.number_of_nodes() == g.n
+            assert sorted(tuple(sorted(e)) for e in back.edges()) == g.edges()
 
 
 class TestNeighborhoods:

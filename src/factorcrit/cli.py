@@ -22,20 +22,22 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
+from functools import cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .configurations import ClassificationError, classify
 from .criticality import (
     NotKFactorCriticalError,
+    _batch_kernel,
+    _edge_lanes,
     check_connectivity_properties,
     is_minimal_kfc,
     kfc_and_minimal,
-    kfc_and_minimal_batch,
     minimalize,
 )
 from .decomp import gallai_edmonds
-from .enumeration import all_graphs, random_graph, read_graph6_stream
+from .enumeration import _representatives, random_graph, read_graph6_stream
 from .graphs import Graph, Graph6Error, GraphError, bits, min_degree, parse_graph6, to_graph6
 from .matching import deficiency
 
@@ -68,11 +70,11 @@ def _scan_worker(task: tuple[Graph, int]) -> Record | None:
     return (to_graph6(g), minimal, min_degree(g)) if kfc else None
 
 
-def _batch_worker(task: tuple[tuple[Graph, ...], int]) -> list[Record | None]:
+def _batch_worker(task: tuple[tuple[Graph, ...], list[list[int]], int]) -> list[Record | None]:
     """:func:`_scan_worker` of every graph of one batch, from one call of the
-    bit-sliced kernel."""
-    graphs, k = task
-    kfc, minimal = kfc_and_minimal_batch(graphs, k)
+    bit-sliced kernel on the batch's edge lanes."""
+    graphs, lanes, k = task
+    kfc, minimal = _batch_kernel(lanes, graphs[0].n, k, len(graphs))
     # bit i at index i; the lanes are read once, never shifted per graph
     kfc_bits = format(kfc, "b")[::-1]
     minimal_bits = format(minimal, f"0{len(kfc_bits)}b")[::-1]
@@ -85,10 +87,13 @@ def _batch_worker(task: tuple[tuple[Graph, ...], int]) -> list[Record | None]:
     return out
 
 
-def _batches(graphs: Iterable[Graph], k: int) -> Iterator[tuple[tuple[Graph, ...], int]]:
-    it = iter(graphs)
-    while batch := tuple(islice(it, SWEEP_CHUNK)):
-        yield batch, k
+@cache
+def _sweep_lanes(n: int) -> tuple[list[list[int]], ...]:
+    """The edge lanes of each ``SWEEP_CHUNK`` slice of the order-n classes,
+    built at the order's first sweep and shared by every later one. The
+    kernel only reads them."""
+    graphs = _representatives(n)
+    return tuple(_edge_lanes(graphs[i:i + SWEEP_CHUNK], n) for i in range(0, len(graphs), SWEEP_CHUNK))
 
 
 def _sample_worker(task: tuple[int, float, int, int]) -> Record | None:
@@ -134,7 +139,9 @@ def verify_scan(args: argparse.Namespace) -> int:
     read, so that the run log hashes exactly what was scanned. ``all`` is
     decided in batches of ``SWEEP_CHUNK`` classes by the bit-sliced kernel,
     ``file:`` and ``sample`` one graph at a time; the records are the same
-    either way.
+    either way. The batches' edge lanes are built at an order's first
+    ``all`` sweep in the process and reused by every later one, whatever
+    its k; the kernel never writes them.
     Returns the exit code.
     """
     n, k, source, fmt, jobs = args.n, args.k, args.source, args.format, args.jobs
@@ -156,9 +163,12 @@ def verify_scan(args: argparse.Namespace) -> int:
         worker, chunk = _sample_worker, max(1, args.samples // (jobs * 8))
         tasks: Iterable = ((n, args.p, k, args.seed + i) for i in range(args.samples))
     elif source == "all":
-        # a task is a batch, and its result is a list of per-graph results
+        # a task is a batch with its edge lanes, and its result is a list of
+        # per-graph results; _sweep_lanes refuses n > 9 before the first byte
+        lanes = _sweep_lanes(n)
+        classes = _representatives(n)
         worker, chunk = _batch_worker, 1
-        tasks = _batches(all_graphs(n), k)
+        tasks = ((classes[i * SWEEP_CHUNK:(i + 1) * SWEEP_CHUNK], batch, k) for i, batch in enumerate(lanes))
     elif source.startswith("file:"):
         data, stream = _read_graph6_file(source[len("file:"):])
         graphs = list(stream)

@@ -46,6 +46,13 @@ Deleting uv changes only the entries whose sets hold both u and v, so each
 edge test zeroes lane(u, v), recomputes those entries, and ANDs PM[V - S]
 over the k-sets S that avoid u and v (the others keep their matchings).
 
+The edge lanes of a batch (:func:`_edge_lanes`) are its whole input:
+:func:`_batch_kernel` decides a batch from them alone. An exhaustive sweep
+builds the lanes of an order's cached classes at that order's first sweep
+and reuses them for every later k; the kernel zeroes lane(u, v) on its own
+copy of the rows, so it never writes the layout it is given, not even when
+it stops part-way.
+
 The memo holds up to 2^(n-1) sets, each an int as long as the batch, so
 the per-graph path above stays for single graphs, sampled starts and graph
 files of any order up to 64; it is also the batch kernel's test oracle.
@@ -301,10 +308,17 @@ def kfc_and_minimal_batch(graphs: Sequence[Graph], k: int) -> tuple[int, int]:
     if n > 16:
         raise GraphError("bit-sliced batches are limited to n <= 16")
     _check_k(graphs[0], k)
+    return _batch_kernel(_edge_lanes(graphs, n), n, k, len(graphs))
+
+
+def _batch_kernel(lanes: list[list[int]], n: int, k: int, count: int) -> tuple[int, int]:
+    """The two lanes of :func:`kfc_and_minimal_batch` from the edge lanes of
+    ``count`` graphs of order n, with 0 <= k < n. ``lanes`` is read, never
+    written: the edge tests zero lane ab on a copy of its rows."""
+    lanes = [row.copy() for row in lanes]
     full = (1 << n) - 1
-    lanes = _edge_lanes(graphs, n)
     ksets = list(_k_subsets_ascending(n, k))
-    memo = {0: (1 << len(graphs)) - 1}
+    memo = {0: (1 << count) - 1}
     kfc = memo[0]
     for s in ksets:
         kfc &= _pm_lane(full ^ s, lanes, memo)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import json
@@ -14,8 +15,9 @@ from factorcrit import (
     Graph6Error, all_graphs, complete_graph, cycle_graph, graph_from_edges, min_degree, parse_graph6,
     read_graph6_stream, to_graph6,
 )
-from factorcrit import cli
+from factorcrit import cli, criticality, kfc_and_minimal_batch
 from factorcrit.cli import main
+from factorcrit.criticality import _batch_kernel, _edge_lanes
 from conftest import disjoint_cliques
 
 K4 = "C~"
@@ -23,6 +25,7 @@ K6 = to_graph6(complete_graph(6))
 C5 = to_graph6(cycle_graph(5))
 C6 = to_graph6(cycle_graph(6))
 K3K7 = to_graph6(disjoint_cliques([3, 7]))
+CRITERION_3_SWEEPS = ((4, 2), (5, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 2), (8, 4), (8, 6))
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -321,7 +324,7 @@ class TestVerify:
     def test_counterexample_path(self, capsys, monkeypatch, tmp_path, fmt):
         # report every graph as minimal 2-factor-critical: each one whose
         # minimum degree is not 3 is then a counterexample
-        monkeypatch.setattr(cli, "kfc_and_minimal_batch", lambda gs, k: ((1 << len(gs)) - 1,) * 2)
+        monkeypatch.setattr(cli, "_batch_kernel", lambda lanes, n, k, count: ((1 << count) - 1,) * 2)
         log = tmp_path / "runs.ndjson"
         code, out, err = run(
             capsys, "verify", "--n", "6", "--k", "2", "--source", "all",
@@ -372,7 +375,7 @@ class TestVerify:
     def test_exhaustive_sweeps_match_file_source(self, capsys, tmp_path, reps8, jobs):
         # ``all`` decides each batch of classes bit-sliced, ``file:`` each
         # graph on its own: stdout, stderr and exit code must not differ
-        for n, k in [(4, 2), (5, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 2), (8, 4), (8, 6), (8, 0)]:
+        for n, k in CRITERION_3_SWEEPS + ((8, 0),):
             path = tmp_path / f"order{n}.g6"
             if not path.exists():
                 path.write_text("".join(to_graph6(g) + "\n" for g in reps8[n]))
@@ -380,6 +383,51 @@ class TestVerify:
             exhaustive = run(capsys, *args, "--source", "all")
             assert exhaustive == run(capsys, *args, "--source", f"file:{path}"), (n, k)
             assert exhaustive[0] == 0 and f"scanned={len(reps8[n])} " in exhaustive[2]
+
+    def test_sweeps_never_write_the_cached_lanes(self, capsys, monkeypatch, reps8):
+        for n, k in CRITERION_3_SWEEPS:
+            assert run(capsys, "verify", "--n", str(n), "--k", str(k), "--source", "all")[0] == 0
+        cached = {n: cli._sweep_lanes(n) for n, _ in CRITERION_3_SWEEPS}
+        # stop a sweep inside its first edge test, while lane ab is zeroed:
+        # a kernel call's first memo is its k-FC memo, and an edge test
+        # passes the same rows with another memo
+        pm_lane, first_memo = criticality._pm_lane, {}
+
+        def stop_in_edge_test(t, lanes, memo):
+            # lanes is kept, so its id names the same rows throughout
+            if first_memo.setdefault(id(lanes), (lanes, memo))[1] is not memo:
+                raise RuntimeError("stopped in an edge test")
+            return pm_lane(t, lanes, memo)
+
+        monkeypatch.setattr(criticality, "_pm_lane", stop_in_edge_test)
+        code, _, err = run(capsys, "verify", "--n", "8", "--k", "2", "--source", "all")
+        assert code == 3 and err == "internal error: stopped in an edge test\n"
+        monkeypatch.undo()
+        assert cli._sweep_lanes(8) is cached[8]
+        for n, lanes in cached.items():
+            graphs = reps8[n]
+            fresh = [_edge_lanes(graphs[i:i + cli.SWEEP_CHUNK], n) for i in range(0, len(graphs), cli.SWEEP_CHUNK)]
+            assert list(lanes) == fresh, n
+
+    def test_batch_kernel_leaves_its_lanes_unchanged(self, reps8):
+        graphs = reps8[8][:cli.SWEEP_CHUNK]
+        lanes = _edge_lanes(graphs, 8)
+        want = copy.deepcopy(lanes)
+        for k in (0, 2, 4, 6):
+            assert _batch_kernel(lanes, 8, k, len(graphs)) == kfc_and_minimal_batch(graphs, k)
+            assert lanes == want
+
+    def test_cold_and_warm_sweeps_agree(self, capsys):
+        cli._sweep_lanes.cache_clear()
+        passes = [
+            [run(capsys, "verify", "--n", str(n), "--k", str(k), "--source", "all", "--format", fmt)
+             for n, k in CRITERION_3_SWEEPS for fmt in ("human", "json", "tsv")]
+            for _ in range(2)
+        ]
+        assert passes[0] == passes[1]
+        assert all(code == 0 for code, _, _ in passes[0])
+        args = ("verify", "--n", "7", "--k", "3", "--source", "all", "--format", "json")
+        assert run(capsys, *args, "--jobs", "2") == run(capsys, *args, "--jobs", "1")
 
     def test_determinism_across_runs(self, capsys):
         args = ("verify", "--n", "7", "--k", "1", "--source", "sample",

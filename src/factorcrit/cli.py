@@ -22,8 +22,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from functools import cache
-from itertools import chain
+from functools import cache, partial
 from typing import Iterable, Iterator
 
 from .configurations import ClassificationError, classify
@@ -47,7 +46,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_SAMPLE_P = 0.8
-# graphs per bit-sliced batch of an exhaustive sweep, and per --jobs task
+# classes per bit-sliced batch of an exhaustive sweep; an `all` --jobs task
+# is one batch's edge lanes, never its graphs
 SWEEP_CHUNK = 1024
 
 
@@ -59,32 +59,18 @@ def _vertices(mask: int) -> list[int]:
 # verify machinery
 # ---------------------------------------------------------------------------
 
-# a verify record as a worker returns it: (graph6, is_minimal, min_degree) of
-# a k-factor-critical graph; non-k-factor-critical graphs give None
-Record = tuple[str, bool, int]
+
+def _kernel_worker(task: tuple[list[list[int]], int, int, int]) -> tuple[int, int]:
+    """The kfc and minimal lanes of one batch, from its edge lanes."""
+    return _batch_kernel(*task)
 
 
-def _scan_worker(task: tuple[Graph, int]) -> Record | None:
-    g, k = task
-    kfc, minimal = kfc_and_minimal(g, k)
-    return (to_graph6(g), minimal, min_degree(g)) if kfc else None
-
-
-def _batch_worker(task: tuple[tuple[Graph, ...], list[list[int]], int]) -> list[Record | None]:
-    """:func:`_scan_worker` of every graph of one batch, from one call of the
-    bit-sliced kernel on the batch's edge lanes."""
-    graphs, lanes, k = task
-    kfc, minimal = _batch_kernel(lanes, graphs[0].n, k, len(graphs))
-    # bit i at index i; the lanes are read once, never shifted per graph
-    kfc_bits = format(kfc, "b")[::-1]
-    minimal_bits = format(minimal, f"0{len(kfc_bits)}b")[::-1]
-    out: list[Record | None] = [None] * len(graphs)
-    i = kfc_bits.find("1")
-    while i >= 0:
-        g = graphs[i]
-        out[i] = (to_graph6(g), minimal_bits[i] == "1", min_degree(g))
-        i = kfc_bits.find("1", i + 1)
-    return out
+def _sample_worker(task: tuple[int, float, int, int]) -> Graph | None:
+    n, p, k, seed = task
+    try:
+        return minimalize(random_graph(n, p, seed), k, seed)
+    except NotKFactorCriticalError:
+        return None
 
 
 @cache
@@ -96,17 +82,20 @@ def _sweep_lanes(n: int) -> tuple[list[list[int]], ...]:
     return tuple(_edge_lanes(graphs[i:i + SWEEP_CHUNK], n) for i in range(0, len(graphs), SWEEP_CHUNK))
 
 
-def _sample_worker(task: tuple[int, float, int, int]) -> Record | None:
-    n, p, k, seed = task
-    g = random_graph(n, p, seed)
-    try:
-        m = minimalize(g, k, seed)
-    except NotKFactorCriticalError:
-        return None
-    return to_graph6(m), True, min_degree(m)
+def _batch_pairs(classes: tuple[Graph, ...], results: Iterable[tuple[int, int]]) -> Iterator[tuple[Graph, bool]]:
+    """(graph, is_minimal) of each k-factor-critical class, in order, from
+    the kfc and minimal lanes of its ``SWEEP_CHUNK`` batch."""
+    for base, (kfc, minimal) in zip(range(0, len(classes), SWEEP_CHUNK), results):
+        # bit i at index i; the lanes are read once, never shifted per graph
+        kfc_bits = format(kfc, "b")[::-1]
+        minimal_bits = format(minimal, f"0{len(kfc_bits)}b")[::-1]
+        i = kfc_bits.find("1")
+        while i >= 0:
+            yield classes[base + i], minimal_bits[i] == "1"
+            i = kfc_bits.find("1", i + 1)
 
 
-def _format_record(rec: Record, failed: bool, n: int, k: int, fmt: str) -> str:
+def _format_record(rec: tuple[str, bool, int], failed: bool, n: int, k: int, fmt: str) -> str:
     g6, minimal, dmin = rec
     verdict = "fail" if failed else "pass"
     # the bytes json.dumps writes, with its key order and separators
@@ -133,15 +122,18 @@ def verify_scan(args: argparse.Namespace) -> int:
     Every input check (the flags, the source, the n <= 9 cap of exhaustive
     generation, the 1..64 range of sampled orders, and the order of every
     graph in a ``file:`` source) comes before the first byte is written.
-    Records are then written to stdout as they arrive, in input order, also
-    under ``--jobs`` > 1 workers; only counts and the counterexamples'
-    graph6 strings are kept, and for a ``file:`` source the bytes that were
-    read, so that the run log hashes exactly what was scanned. ``all`` is
-    decided in batches of ``SWEEP_CHUNK`` classes by the bit-sliced kernel,
-    ``file:`` and ``sample`` one graph at a time; the records are the same
-    either way. The batches' edge lanes are built at an order's first
-    ``all`` sweep in the process and reused by every later one, whatever
-    its k; the kernel never writes them.
+    Each source yields (graph, is_minimal) for its k-factor-critical graphs,
+    in input order, and the parent alone writes their records to stdout as
+    they arrive; only counts and the counterexamples' graph6 strings are
+    kept, and for a ``file:`` source the bytes that were read, so that the
+    run log hashes exactly what was scanned. ``all`` is decided in batches
+    of ``SWEEP_CHUNK`` classes by the bit-sliced kernel, on edge lanes built
+    at an order's first sweep in the process and never written; ``file:``
+    and ``sample`` one graph at a time. The records are the same either way.
+
+    ``--jobs`` > 1 starts at most ``os.cpu_count()`` workers; the output
+    does not depend on their number. Tasks carry all they need, so any start
+    method works; an ``all`` task is one batch's edge lanes, never its graphs.
     Returns the exit code.
     """
     n, k, source, fmt, jobs = args.n, args.k, args.source, args.format, args.jobs
@@ -156,53 +148,53 @@ def verify_scan(args: argparse.Namespace) -> int:
     if not 0.0 <= args.p <= 1.0:
         raise GraphError(f"edge probability {args.p} outside [0, 1]")
 
+    workers = min(jobs, os.cpu_count() or 1)
     data = None
     if source == "sample":
         if not 1 <= n <= 64:  # random_graph's range, checked before the tsv header
             raise GraphError(f"vertex count {n} outside 1..64")
-        worker, chunk = _sample_worker, max(1, args.samples // (jobs * 8))
-        tasks: Iterable = ((n, args.p, k, args.seed + i) for i in range(args.samples))
+        scanned = args.samples
+        worker, chunk = _sample_worker, max(1, scanned // (workers * 8))
+        tasks: Iterable = ((n, args.p, k, args.seed + i) for i in range(scanned))
+        pairs = lambda results: ((m, True) for m in results if m is not None)
     elif source == "all":
-        # a task is a batch with its edge lanes, and its result is a list of
-        # per-graph results; _sweep_lanes refuses n > 9 before the first byte
+        # _sweep_lanes refuses n > 9 before the first byte
         lanes = _sweep_lanes(n)
         classes = _representatives(n)
-        worker, chunk = _batch_worker, 1
-        tasks = ((classes[i * SWEEP_CHUNK:(i + 1) * SWEEP_CHUNK], batch, k) for i, batch in enumerate(lanes))
+        scanned = len(classes)
+        worker, chunk = _kernel_worker, 1
+        tasks = ((batch, n, k, min(SWEEP_CHUNK, scanned - i * SWEEP_CHUNK)) for i, batch in enumerate(lanes))
+        pairs = lambda results: _batch_pairs(classes, results)
     elif source.startswith("file:"):
         data, stream = _read_graph6_file(source[len("file:"):])
         graphs = list(stream)
         bad = [g.n for g in graphs if g.n != n]
         if bad:
             raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
-        worker, chunk = _scan_worker, 256
-        tasks = ((g, k) for g in graphs)
+        scanned = len(graphs)
+        worker, chunk, tasks = partial(kfc_and_minimal, k=k), 256, graphs
+        pairs = lambda results: ((g, m) for g, (is_kfc, m) in zip(graphs, results) if is_kfc)
     else:
         raise GraphError(f"unknown source {source!r}")
 
     pool = None
-    if jobs > 1:
+    if workers > 1:
         from multiprocessing import Pool  # about 0.6 MB of RSS; only --jobs > 1 needs it
 
         # forked before the first write, so no worker inherits buffered output
-        pool = Pool(jobs)
+        pool = Pool(workers)
     out = sys.stdout
-    scanned = kfc = minimal = 0
+    kfc = minimal = 0
     counterexamples = []
     # leaving the block terminates the workers, also when a record raises
     with pool or nullcontext():
         if fmt == "tsv":
             out.write("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n")
         results = pool.imap(worker, tasks, chunk) if pool else map(worker, tasks)
-        if worker is _batch_worker:
-            results = chain.from_iterable(results)
-        for rec in results:
-            scanned += 1
-            if rec is None:
-                continue
-            g6, is_minimal, dmin = rec
+        for g, is_minimal in pairs(results):
+            g6, dmin = to_graph6(g), min_degree(g)
             failed = is_minimal and dmin != k + 1
-            out.write(_format_record(rec, failed, n, k, fmt))
+            out.write(_format_record((g6, is_minimal, dmin), failed, n, k, fmt))
             kfc += 1
             minimal += is_minimal
             if failed:

@@ -4,6 +4,8 @@ import copy
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcrit import (
-    Graph6Error, all_graphs, complete_graph, cycle_graph, graph_from_edges, min_degree, parse_graph6,
+    Graph, Graph6Error, all_graphs, complete_graph, cycle_graph, graph_from_edges, min_degree, parse_graph6,
     read_graph6_stream, to_graph6,
 )
 from factorcrit import cli, criticality, kfc_and_minimal_batch
@@ -315,10 +317,52 @@ class TestVerify:
             path.write_text("".join(to_graph6(g) + "\n" for g in reversed(list(all_graphs(6)))))
             args = ["--n", "6", "--k", "2", "--source", f"file:{path}"]
         single = run(capsys, "verify", *args, "--format", fmt, "--jobs", "1")
-        multi = run(capsys, "verify", *args, "--format", fmt, "--jobs", "2")
-        assert single == multi
+        for jobs in ("2", "3"):
+            assert run(capsys, "verify", *args, "--format", fmt, "--jobs", jobs) == single, jobs
         code, out, _ = single
         assert code == 0 and out
+
+    def test_exhaustive_tasks_carry_no_graph(self, capsys, monkeypatch):
+        # a task is a batch's edge lanes and its result two lanes: no Graph
+        # is pickled on the way to a worker or back
+        def refuse(self, protocol):
+            raise TypeError("a Graph was pickled")
+
+        monkeypatch.setattr(Graph, "__reduce_ex__", refuse)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        args = ("verify", "--n", "7", "--k", "3", "--source", "all", "--format", "json")
+        single = run(capsys, *args, "--jobs", "1")
+        assert single[0] == 0 and single[1]
+        assert run(capsys, *args, "--jobs", "2") == single
+
+    def test_workers_at_most_cpu_count(self, capsys, monkeypatch):
+        # a large --jobs starts no more workers than there are CPUs; the
+        # pool is a fake that records its size and runs the tasks in-process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def imap(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        args = ("verify", "--n", "6", "--k", "2", "--source", "all", "--format", "json")
+        single = run(capsys, *args, "--jobs", "1")
+        for jobs in ("3", "100000"):
+            assert run(capsys, *args, "--jobs", jobs) == single, jobs
+        assert sizes == [3, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+        assert run(capsys, *args, "--jobs", "100000") == single
+        assert sizes == [3, 4]
 
     @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
     def test_counterexample_path(self, capsys, monkeypatch, tmp_path, fmt):

@@ -294,7 +294,13 @@ class TestAllGraphs:
                 lines = out.getvalue().splitlines()
                 assert code == 0 and err.getvalue() == ""
                 assert lines.pop() == f"scanned=274668 kfc={kfc} minimal={minimal} failures=0"
-                if k >= 5:  # few records: check each one against the per-graph path
+                if k >= 5:
+                    # the same bytes from --jobs 2, whose tasks ship the batches' edge lanes
+                    out2, err2 = io.StringIO(), io.StringIO()
+                    with redirect_stdout(out2), redirect_stderr(err2):
+                        code2 = main(["verify", "--n", "9", "--k", str(k), "--source", "all", "--jobs", "2"])
+                    assert (code2, out2.getvalue(), err2.getvalue()) == (code, out.getvalue(), "")
+                    # few records: check each one against the per-graph path
                     want = []
                     for g in reps:
                         is_kfc, is_minimal = kfc_and_minimal(g, k)

@@ -21,6 +21,7 @@ from .graphs import (
     delete_edge,
     delete_vertices,
     delete_vertices_with_map,
+    graph6_lines,
     graph_from_edges,
     is_connected,
     is_k_connected,

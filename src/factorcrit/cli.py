@@ -23,6 +23,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import cache, partial
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator
 
 from .configurations import ClassificationError, classify
@@ -37,7 +38,10 @@ from .criticality import (
 )
 from .decomp import gallai_edmonds
 from .enumeration import _representatives, random_graph, read_graph6_stream
-from .graphs import Graph, Graph6Error, GraphError, bits, min_degree, parse_graph6, to_graph6
+from .graphs import (
+    Graph, Graph6Error, GraphError, _pack_rows, _rows_graph6, _rows_min_degrees, bits, min_degree, parse_graph6,
+    to_graph6,
+)
 from .matching import deficiency
 
 EXIT_OK = 0
@@ -46,8 +50,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_SAMPLE_P = 0.8
-# classes per bit-sliced batch of an exhaustive sweep; an `all` --jobs task
-# is one batch's edge lanes, never its graphs
+# classes per bit-sliced batch of an exhaustive sweep, and results per batch
+# of records; an `all` --jobs task is one batch's edge lanes, never its graphs
 SWEEP_CHUNK = 1024
 
 
@@ -82,33 +86,88 @@ def _sweep_lanes(n: int) -> tuple[list[list[int]], ...]:
     return tuple(_edge_lanes(graphs[i:i + SWEEP_CHUNK], n) for i in range(0, len(graphs), SWEEP_CHUNK))
 
 
-def _batch_pairs(classes: tuple[Graph, ...], results: Iterable[tuple[int, int]]) -> Iterator[tuple[Graph, bool]]:
-    """(graph, is_minimal) of each k-factor-critical class, in order, from
-    the kfc and minimal lanes of its ``SWEEP_CHUNK`` batch."""
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _lane_flags(lane: int, count: int) -> bytes:
+    """Byte i is bit i of ``lane``, for i < count."""
+    return format(lane, f"0{count}b")[::-1].encode("ascii").translate(_DIGIT_VALUES)
+
+
+def _kernel_batches(classes: tuple[Graph, ...], results: Iterable[tuple[int, int]]) -> Iterator[tuple[list[Graph], bytes]]:
+    """The k-factor-critical classes of each ``SWEEP_CHUNK`` batch, in order,
+    and their minimal flags, from the batch's kfc and minimal lanes."""
     for base, (kfc, minimal) in zip(range(0, len(classes), SWEEP_CHUNK), results):
-        # bit i at index i; the lanes are read once, never shifted per graph
-        kfc_bits = format(kfc, "b")[::-1]
-        minimal_bits = format(minimal, f"0{len(kfc_bits)}b")[::-1]
-        i = kfc_bits.find("1")
-        while i >= 0:
-            yield classes[base + i], minimal_bits[i] == "1"
-            i = kfc_bits.find("1", i + 1)
+        if not kfc:  # most batches of a large k, and nothing to write
+            continue
+        count = min(SWEEP_CHUNK, len(classes) - base)
+        selected = _lane_flags(kfc, count)
+        yield (list(compress(classes[base:base + count], selected)),
+               bytes(compress(_lane_flags(minimal, count), selected)))
 
 
-def _format_record(rec: tuple[str, bool, int], failed: bool, n: int, k: int, fmt: str) -> str:
-    g6, minimal, dmin = rec
-    verdict = "fail" if failed else "pass"
-    # the bytes json.dumps writes, with its key order and separators
-    witness = f'{{"min_degree": {dmin}, "expected": {k + 1}}}' if failed else ""
+def _chunks(results: Iterable, select) -> Iterator[tuple[list[Graph], bytes]]:
+    """``select`` applied to each run of ``SWEEP_CHUNK`` results."""
+    results = iter(results)
+    while chunk := list(islice(results, SWEEP_CHUNK)):
+        yield select(chunk)
+
+
+def _sampled_batch(chunk: list[Graph | None]) -> tuple[list[Graph], bytes]:
+    graphs = [m for m in chunk if m is not None]
+    return graphs, b"\x01" * len(graphs)
+
+
+def _file_batch(chunk: list[tuple[Graph, tuple[bool, bool]]]) -> tuple[list[Graph], bytes]:
+    kept = [(g, m) for g, (is_kfc, m) in chunk if is_kfc]
+    return [g for g, _ in kept], bytes(m for _, m in kept)
+
+
+@cache
+def _record_parts(n: int, k: int, fmt: str) -> tuple[str, tuple[str, ...], bytes]:
+    """The text of an order-n record before its graph6 string, the text
+    after it for each key 2 * min_degree + is_minimal, and which keys fail:
+    a minimal graph whose minimum degree is not k + 1."""
+    head = '{"graph6": "' if fmt == "json" else ""
+    tails, failed = [], bytearray(256)
+    for key in range(2 * n):
+        dmin, minimal = key >> 1, bool(key & 1)
+        failed[key] = fail = minimal and dmin != k + 1
+        verdict = "fail" if fail else "pass"
+        # the bytes json.dumps writes, with its key order and separators
+        witness = f'{{"min_degree": {dmin}, "expected": {k + 1}}}' if fail else ""
+        if fmt == "json":
+            tails.append(f'", "n": {n}, "k": {k}, "is_kfc": true, "is_minimal": {"true" if minimal else "false"}, '
+                         f'"min_degree": {dmin}, "verdict": "{verdict}", "witness": {witness or "null"}}}\n')
+        elif fmt == "tsv":
+            tails.append(f"\t{n}\t{k}\tTrue\t{minimal}\t{dmin}\t{verdict}\t{witness}\n")
+        else:
+            # every record has order n, so its graph6 string has one fixed length
+            tails.append(f"  minimal={str(minimal):<5}  min_degree={dmin}  verdict={verdict}\n")
+    return head, tuple(tails), bytes(failed)
+
+
+def _format_records(g6s: list[str], minimal: bytes, dmins: bytes, n: int, k: int, fmt: str) -> tuple[str, list[str]]:
+    """The records of k-factor-critical graphs of order n, given their graph6
+    strings, minimal flags and minimum degrees, and the graph6 strings of
+    the counterexamples among them."""
+    head, tails, failed = _record_parts(n, k, fmt)
+    keys = (int.from_bytes(dmins, "little") << 1 | int.from_bytes(minimal, "little")).to_bytes(len(g6s), "little")
+    hits = keys.translate(failed)
+    counterexamples = list(compress(g6s, hits)) if 1 in hits else []
     if fmt == "json":
-        g6 = g6.replace("\\", "\\\\")  # the only byte in 63..126 that JSON escapes
-        return (f'{{"graph6": "{g6}", "n": {n}, "k": {k}, "is_kfc": true, "is_minimal": '
-                f'{"true" if minimal else "false"}, "min_degree": {dmin}, "verdict": "{verdict}", '
-                f'"witness": {witness or "null"}}}\n')
-    if fmt == "tsv":
-        return f"{g6}\t{n}\t{k}\tTrue\t{minimal}\t{dmin}\t{verdict}\t{witness}\n"
-    # every record has order n, so its graph6 string has one fixed length
-    return f"{g6}  minimal={str(minimal):<5}  min_degree={dmin}  verdict={verdict}\n"
+        # the only byte in 63..126 that JSON escapes, escaped once per batch
+        g6s = "\n".join(g6s).replace("\\", "\\\\").split("\n")
+    # head, graph6 and tail of each record, joined with no string per record
+    return "".join(chain.from_iterable(zip(repeat(head), g6s, map(tails.__getitem__, keys)))), counterexamples
+
+
+def _records(graphs: list[Graph], minimal: bytes, n: int, k: int, fmt: str) -> tuple[str, list[str]]:
+    """:func:`_format_records` of a batch of k-factor-critical graphs of order
+    n: graph6 strings and minimum degrees come from one packing of its rows."""
+    packed = _pack_rows(graphs, n)
+    g6s = _rows_graph6(packed, n, len(graphs)).decode("ascii").split("\n")[:-1]
+    return _format_records(g6s, minimal, _rows_min_degrees(packed, n, len(graphs)), n, k, fmt)
 
 
 def verify_scan(args: argparse.Namespace) -> int:
@@ -122,14 +181,18 @@ def verify_scan(args: argparse.Namespace) -> int:
     Every input check (the flags, the source, the n <= 9 cap of exhaustive
     generation, the 1..64 range of sampled orders, and the order of every
     graph in a ``file:`` source) comes before the first byte is written.
-    Each source yields (graph, is_minimal) for its k-factor-critical graphs,
-    in input order, and the parent alone writes their records to stdout as
-    they arrive; only counts and the counterexamples' graph6 strings are
-    kept, and for a ``file:`` source the bytes that were read, so that the
-    run log hashes exactly what was scanned. ``all`` is decided in batches
-    of ``SWEEP_CHUNK`` classes by the bit-sliced kernel, on edge lanes built
-    at an order's first sweep in the process and never written; ``file:``
-    and ``sample`` one graph at a time. The records are the same either way.
+    Each source yields its k-factor-critical graphs and their minimal flags
+    in batches, in input order, and the parent alone writes each batch's
+    records to stdout with one write: graph6 strings and minimum degrees
+    from one packing of the batch's rows, the rest from cached templates.
+    Only counts and the counterexamples' graph6 strings are kept, and for a
+    ``file:`` source the bytes that were read, so that the run log hashes
+    exactly what was scanned. ``all`` is decided in batches of
+    ``SWEEP_CHUNK`` classes by the bit-sliced kernel, on edge lanes built at
+    an order's first sweep in the process and never written, and each is a
+    batch of records; ``file:`` and ``sample`` are decided one graph at a
+    time, and each ``SWEEP_CHUNK`` results are a batch of records. The
+    records are the same either way.
 
     ``--jobs`` > 1 starts at most ``os.cpu_count()`` workers; the output
     does not depend on their number. Tasks carry all they need, so any start
@@ -156,7 +219,7 @@ def verify_scan(args: argparse.Namespace) -> int:
         scanned = args.samples
         worker, chunk = _sample_worker, max(1, scanned // (workers * 8))
         tasks: Iterable = ((n, args.p, k, args.seed + i) for i in range(scanned))
-        pairs = lambda results: ((m, True) for m in results if m is not None)
+        batches = lambda results: _chunks(results, _sampled_batch)
     elif source == "all":
         # _sweep_lanes refuses n > 9 before the first byte
         lanes = _sweep_lanes(n)
@@ -164,7 +227,7 @@ def verify_scan(args: argparse.Namespace) -> int:
         scanned = len(classes)
         worker, chunk = _kernel_worker, 1
         tasks = ((batch, n, k, min(SWEEP_CHUNK, scanned - i * SWEEP_CHUNK)) for i, batch in enumerate(lanes))
-        pairs = lambda results: _batch_pairs(classes, results)
+        batches = lambda results: _kernel_batches(classes, results)
     elif source.startswith("file:"):
         data, stream = _read_graph6_file(source[len("file:"):])
         graphs = list(stream)
@@ -173,7 +236,7 @@ def verify_scan(args: argparse.Namespace) -> int:
             raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
         scanned = len(graphs)
         worker, chunk, tasks = partial(kfc_and_minimal, k=k), 256, graphs
-        pairs = lambda results: ((g, m) for g, (is_kfc, m) in zip(graphs, results) if is_kfc)
+        batches = lambda results: _chunks(zip(graphs, results), _file_batch)
     else:
         raise GraphError(f"unknown source {source!r}")
 
@@ -191,14 +254,12 @@ def verify_scan(args: argparse.Namespace) -> int:
         if fmt == "tsv":
             out.write("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n")
         results = pool.imap(worker, tasks, chunk) if pool else map(worker, tasks)
-        for g, is_minimal in pairs(results):
-            g6, dmin = to_graph6(g), min_degree(g)
-            failed = is_minimal and dmin != k + 1
-            out.write(_format_record((g6, is_minimal, dmin), failed, n, k, fmt))
-            kfc += 1
-            minimal += is_minimal
-            if failed:
-                counterexamples.append(g6)
+        for graphs, flags in batches(results):
+            text, failed = _records(graphs, flags, n, k, fmt)
+            out.write(text)
+            kfc += len(graphs)
+            minimal += flags.count(1)
+            counterexamples += failed
 
     summary = f"scanned={scanned} kfc={kfc} minimal={minimal} failures={len(counterexamples)}"
     print(summary, file=out if fmt == "human" else sys.stderr)

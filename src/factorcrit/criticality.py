@@ -60,9 +60,7 @@ files of any order up to 64; it is also the batch kernel's test oracle.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 from .enumeration import SplitMix64
@@ -73,6 +71,8 @@ from .graphs import (
     VertexSet,
     _components_masked,
     _k_subsets_ascending,
+    _pack_rows,
+    _row_bytes,
     _trusted,
     is_k_connected,
     is_k_edge_connected,
@@ -258,15 +258,14 @@ _BIT_CHARS = [bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8)]
 def _edge_lanes(graphs: Sequence[Graph], n: int) -> list[list[int]]:
     """``lanes[u][v]`` for u < v: bit i is set when ``graphs[i]`` has the edge uv.
 
-    Every row of every graph is packed into one byte string, last graph
-    first, in one byte up to n = 8 and two little-endian bytes above. Byte j
-    of row v, taken from every graph, is one strided slice of it, and bit u
-    of that plane (8j <= u < 8j + 8) becomes lane uv by a translate to ASCII
-    digits and a base-2 parse, all at C speed.
+    The rows are packed by :func:`_pack_rows`, last graph first, so that
+    graph i lands at bit i of a base-2 parse. Byte j of row v, taken from
+    every graph, is one strided slice of the packing, and bit u of that
+    plane (8j <= u < 8j + 8) becomes lane uv by a translate to ASCII digits
+    and a base-2 parse, all at C speed.
     """
-    rows = chain.from_iterable([g.adj for g in reversed(graphs)])
-    width = 1 if n <= 8 else 2
-    raw = bytes(rows) if width == 1 else struct.pack(f"<{n * len(graphs)}H", *rows)
+    raw = _pack_rows(graphs[::-1], n)
+    width = _row_bytes(n)
     lanes = [[0] * n for _ in range(n)]
     for v in range(1, n):
         planes = [raw[width * v + j::width * n] for j in range(width)]

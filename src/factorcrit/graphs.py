@@ -9,8 +9,10 @@ set iff vertex ``v`` belongs to the set.
 from __future__ import annotations
 
 import binascii
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -222,12 +224,34 @@ def parse_graph6(text: str | bytes) -> Graph:
     return _trusted(n, tuple(rows))
 
 
-def _graph6_line(n: int, payload: bytes) -> bytes:
-    """graph6 line of order ``n`` whose payload bits, high bit first, are
-    ``payload``: a multiple of 3 bytes, zero past bit n(n-1)/2."""
+def _payload_bytes(n: int) -> int:
+    """Bytes of one order-n payload, padded to whole base64 quanta, so that
+    the digits of payloads laid end to end split evenly between them."""
+    return (n * (n - 1) // 2 + 23) // 24 * 3
+
+
+def _graph6_text(n: int, payloads: bytes, count: int) -> bytes:
+    """``count`` graph6 lines of order n, each ending in ``\\n``, from their
+    payloads laid end to end: ``_payload_bytes(n)`` bytes each, high bit
+    first, zero past bit n(n-1)/2.
+
+    One base64 pass writes every digit; digit d of every line is then one
+    strided slice of it, as are the prefix bytes and the newlines.
+    """
     prefix = bytes((n + 63,) if n <= 62 else (126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63))
-    digits = binascii.b2a_base64(payload, newline=False)[:(n * (n - 1) // 2 + 5) // 6]
-    return prefix + digits.translate(_TO_GRAPH6)
+    digits = binascii.b2a_base64(payloads, newline=False).translate(_TO_GRAPH6)
+    per_line = _payload_bytes(n) // 3 * 4
+    used = (n * (n - 1) // 2 + 5) // 6
+    if count == 1:  # every canonical form is one line: concatenation is cheaper
+        return prefix + digits[:used] + b"\n"
+    width = len(prefix) + used + 1
+    out = bytearray(width * count)
+    for i, byte in enumerate(prefix):
+        out[i::width] = bytes((byte,)) * count
+    for d in range(used):
+        out[len(prefix) + d::width] = digits[d::per_line]
+    out[width - 1::width] = b"\n" * count
+    return bytes(out)
 
 
 def _encode_columns(n: int, cols: list[int]) -> bytes:
@@ -239,17 +263,86 @@ def _encode_columns(n: int, cols: list[int]) -> bytes:
     for j, col in enumerate(cols, start=1):
         acc = acc << j | col
     nbits = n * (n - 1) // 2
-    nbytes = (nbits + 23) // 24 * 3
-    return _graph6_line(n, (acc << (8 * nbytes - nbits)).to_bytes(nbytes, "big"))
+    nbytes = _payload_bytes(n)
+    return _graph6_text(n, (acc << (8 * nbytes - nbits)).to_bytes(nbytes, "big"), 1)[:-1]
+
+
+def _row_bytes(n: int) -> int:
+    """Bytes per packed row of an order-n graph: 1 up to n = 8, then 2, 4, 8."""
+    return 1 if n <= 8 else 2 if n <= 16 else 4 if n <= 32 else 8
+
+
+def _pack_rows(graphs: Sequence[Graph], n: int) -> bytes:
+    """The rows of ``graphs``, all of order n, in order and laid end to end,
+    each in ``_row_bytes(n)`` little-endian bytes. Byte j of row v, taken
+    from every graph, is then one strided slice."""
+    rows = chain.from_iterable([g.adj for g in graphs])
+    width = _row_bytes(n)
+    if width == 1:
+        return bytes(rows)
+    return struct.pack(f"<{n * len(graphs)}{' HI Q'[width >> 1]}", *rows)
+
+
+# _LOW_BITS[r] keeps the r lowest bits of a byte; _POPCOUNT counts its bits
+_LOW_BITS = [bytes(b & ((1 << r) - 1) for b in range(256)) for r in range(9)]
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
+
+
+def _rows_graph6(packed: bytes, n: int, count: int) -> bytes:
+    """:func:`graph6_lines` of the ``count`` graphs whose rows are ``packed``.
+
+    Payload bit v(v-1)/2 + u is bit u of row v (u < v). The payloads of the
+    batch are one int, graph i's in bytes i*P .. (i+1)*P - 1 (P the payload
+    size): each row v is laid into every graph's slot by strided
+    assignment, masked to its bits below v, shifted into place and ORed in.
+    """
+    width, slot = _row_bytes(n), _payload_bytes(n)
+    stride = width * n
+    slots = bytearray(slot * count)
+    acc = 0
+    for v in range(1, n):
+        # bytes 0..top hold the bits below v; rows only grow, so every slot
+        # byte the last row wrote is written again
+        top = (v - 1) >> 3
+        for j in range(top):
+            slots[j::slot] = packed[width * v + j::stride]
+        slots[top::slot] = packed[width * v + top::stride].translate(_LOW_BITS[v - 8 * top])
+        acc |= int.from_bytes(slots, "little") << (v * (v - 1) >> 1)
+    return _graph6_text(n, acc.to_bytes(slot * count, "little").translate(_REV8), count)
+
+
+def _rows_min_degrees(packed: bytes, n: int, count: int) -> bytes:
+    """The minimum degree of each of the ``count`` graphs whose rows are
+    ``packed``, one byte each; n >= 1.
+
+    A vertex's degrees over the batch are one int with a byte per graph
+    (the popcounts of its row bytes, summed). Degrees are below 128, so
+    ``(a | high) - b`` has the high bit of a byte set exactly where a >= b,
+    and that bit selects b there: a bytewise minimum with no carry between
+    bytes.
+    """
+    width = _row_bytes(n)
+    stride = width * n
+    counts = packed.translate(_POPCOUNT)
+    high = int.from_bytes(b"\x80" * count, "little")
+    low = high - (high >> 7)  # 127 in every byte, above any degree
+    for v in range(n):
+        deg = int.from_bytes(counts[width * v::stride], "little")
+        for j in range(1, width):
+            deg += int.from_bytes(counts[width * v + j::stride], "little")
+        ge = ((low | high) - deg) & high
+        low ^= (low ^ deg) & ((ge << 1) - (ge >> 7))
+    return low.to_bytes(count, "little")
+
+
+def graph6_lines(graphs: Sequence[Graph], n: int) -> bytes:
+    """The graph6 lines of ``graphs``, all of order n, each ending in ``\\n``."""
+    return _rows_graph6(_pack_rows(graphs, n), n, len(graphs))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 line (no trailing newline)."""
-    acc = 0
-    for j, row in enumerate(g.adj):
-        acc |= (row & ((1 << j) - 1)) << (j * (j - 1) >> 1)
-    nbytes = (g.n * (g.n - 1) // 2 + 23) // 24 * 3
-    return _graph6_line(g.n, acc.to_bytes(nbytes, "little").translate(_REV8)).decode("ascii")
+    return graph6_lines((g,), g.n)[:-1].decode("ascii")
 
 
 # ---------------------------------------------------------------------------

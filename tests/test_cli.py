@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcrit import (
-    Graph, Graph6Error, all_graphs, complete_graph, cycle_graph, graph_from_edges, min_degree, parse_graph6,
-    read_graph6_stream, to_graph6,
+    Graph, Graph6Error, all_graphs, complete_graph, cycle_graph, graph6_lines, graph_from_edges, kfc_and_minimal,
+    min_degree, parse_graph6, read_graph6_stream, to_graph6,
 )
 from factorcrit import cli, criticality, kfc_and_minimal_batch
 from factorcrit.cli import main
@@ -179,22 +179,32 @@ class TestVerify:
         assert "failures=0" in err
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.text(st.just("\\") | st.characters(min_codepoint=63, max_codepoint=126), min_size=1),
-        st.booleans(), st.booleans(), st.integers(1, 64), st.integers(0, 63), st.integers(0, 63),
-    )
-    def test_record_template_matches_json_dumps(self, g6, minimal, failed, n, k, dmin):
-        # the records are written from a template; json.dumps of the record is the reference
-        witness = {"min_degree": dmin, "expected": k + 1} if failed else None
-        record = {
-            "graph6": g6, "n": n, "k": k, "is_kfc": True, "is_minimal": minimal,
-            "min_degree": dmin, "verdict": "fail" if failed else "pass", "witness": witness,
-        }
-        line = cli._format_record((g6, minimal, dmin), failed, n, k, "json")
-        assert line == json.dumps(record) + "\n"
-        assert json.loads(line) == record
-        tsv = cli._format_record((g6, minimal, dmin), failed, n, k, "tsv")
-        assert tsv.split("\t")[-1] == (json.dumps(witness) if failed else "") + "\n"
+    @given(st.integers(1, 64), st.data())
+    def test_record_template_matches_json_dumps(self, n, data):
+        # a batch of records is written from templates and escaped once;
+        # json.dumps of each record is the reference
+        k = data.draw(st.integers(0, n - 1))
+        g6 = st.text(st.just("\\") | st.characters(min_codepoint=63, max_codepoint=126), min_size=1)
+        degree = st.integers(0, n - 1) | st.just(min(k + 1, n - 1))
+        batch = data.draw(st.lists(st.tuples(g6, st.booleans(), degree), min_size=1, max_size=3))
+        records, failing = [], []
+        for text, minimal, dmin in batch:
+            failed = minimal and dmin != k + 1
+            witness = {"min_degree": dmin, "expected": k + 1} if failed else None
+            records.append({
+                "graph6": text, "n": n, "k": k, "is_kfc": True, "is_minimal": minimal,
+                "min_degree": dmin, "verdict": "fail" if failed else "pass", "witness": witness,
+            })
+            failing += [text] if failed else []
+        g6s = [text for text, _, _ in batch]
+        flags, dmins = bytes(m for _, m, _ in batch), bytes(d for _, _, d in batch)
+        lines, counterexamples = cli._format_records(g6s, flags, dmins, n, k, "json")
+        assert lines == "".join(json.dumps(record) + "\n" for record in records)
+        assert [json.loads(line) for line in lines.splitlines()] == records
+        assert counterexamples == failing
+        tsv, _ = cli._format_records(g6s, flags, dmins, n, k, "tsv")
+        witnesses = [json.dumps(r["witness"]) if r["witness"] else "" for r in records]
+        assert [line.split("\t")[-1] for line in tsv.splitlines()] == witnesses
 
     def test_tsv_header(self, capsys):
         code, out, _ = run(
@@ -266,6 +276,33 @@ class TestVerify:
         assert len(records) == 1 and records[0]["graph6"] == K6
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_file_records_escape_backslashes(self, capsys, tmp_path, jobs):
+        # the two 2-factor-critical classes of order 8 whose graph6 holds a
+        # backslash, the one byte JSON escapes, and one class without
+        lines = ["GCRv\\{", "GErv\\{", "GCOf~w"]
+        path = tmp_path / "graphs.g6"
+        path.write_text("".join(line + "\n" for line in lines))
+        out = {}
+        for fmt in ("human", "json", "tsv"):
+            code, out[fmt], err = run(
+                capsys, "verify", "--n", "8", "--k", "2", "--source", f"file:{path}", "--format", fmt, "--jobs", jobs,
+            )
+            assert code == 0
+        assert [json.loads(record)["graph6"] for record in out["json"].splitlines()] == lines
+        # the per-graph formatting the records were written with before batches
+        tsv = ["graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n"]
+        human = []
+        for line in lines:
+            g = parse_graph6(line)
+            is_kfc, minimal = kfc_and_minimal(g, 2)
+            dmin = min_degree(g)
+            assert is_kfc and not (minimal and dmin != 3)
+            tsv.append(f"{line}\t8\t2\tTrue\t{minimal}\t{dmin}\tpass\t\n")
+            human.append(f"{line}  minimal={str(minimal):<5}  min_degree={dmin}  verdict=pass\n")
+        assert out["tsv"] == "".join(tsv)
+        assert out["human"].splitlines(keepends=True)[:-1] == human
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("last, error", [
         (K4, "input file contains graphs of order 4, expected 6"),
         ("E~~~~", "line 157: oversized graph6 payload: 4 bytes, expected 3"),
@@ -276,7 +313,7 @@ class TestVerify:
         # every input check precedes the first byte, even the tsv header
         path = tmp_path / "graphs.g6"
         path.write_bytes(
-            ("".join(to_graph6(g) + "\n" for g in all_graphs(6)) + last + "\n").encode("latin-1")
+            graph6_lines(list(all_graphs(6)), 6) + (last + "\n").encode("latin-1")
         )
         code, out, err = run(
             capsys, "verify", "--n", "6", "--k", "2", "--source", f"file:{path}",
@@ -314,7 +351,7 @@ class TestVerify:
             args = ["--n", "8", "--k", "2", "--source", "sample", "--samples", "12", "--seed", "5"]
         else:
             path = tmp_path / "graphs.g6"
-            path.write_text("".join(to_graph6(g) + "\n" for g in reversed(list(all_graphs(6)))))
+            path.write_bytes(graph6_lines(list(all_graphs(6))[::-1], 6))
             args = ["--n", "6", "--k", "2", "--source", f"file:{path}"]
         single = run(capsys, "verify", *args, "--format", fmt, "--jobs", "1")
         for jobs in ("2", "3"):
@@ -422,7 +459,7 @@ class TestVerify:
         for n, k in CRITERION_3_SWEEPS + ((8, 0),):
             path = tmp_path / f"order{n}.g6"
             if not path.exists():
-                path.write_text("".join(to_graph6(g) + "\n" for g in reps8[n]))
+                path.write_bytes(graph6_lines(reps8[n], n))
             args = ("verify", "--n", str(n), "--k", str(k), "--format", "json", "--jobs", jobs)
             exhaustive = run(capsys, *args, "--source", "all")
             assert exhaustive == run(capsys, *args, "--source", f"file:{path}"), (n, k)
@@ -520,7 +557,7 @@ class TestVerify:
 
 
 @st.composite
-def graph6_lines(draw) -> str:
+def graph6_strings(draw) -> str:
     n = draw(st.integers(1, 8))
     pairs = [(u, v) for v in range(n) for u in range(v)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -528,7 +565,7 @@ def graph6_lines(draw) -> str:
 
 
 # a line is a few graph6 strings and blank bytes, so it may be blank, valid or malformed
-_LINE = st.lists(st.one_of(graph6_lines(), st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f")), max_size=3)
+_LINE = st.lists(st.one_of(graph6_strings(), st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f")), max_size=3)
 _FILE = st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=6)
 
 

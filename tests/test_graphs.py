@@ -19,6 +19,7 @@ from factorcrit import (
     delete_edge,
     delete_vertices,
     delete_vertices_with_map,
+    graph6_lines,
     graph_from_edges,
     is_k_connected,
     is_k_edge_connected,
@@ -28,6 +29,7 @@ from factorcrit import (
     random_graph,
     to_graph6,
 )
+from factorcrit.graphs import _pack_rows, _rows_min_degrees
 from conftest import disjoint_cliques, petersen
 
 
@@ -153,21 +155,64 @@ def _oracle_graphs():
             yield random_graph(n, p, 1000 * n + i)
 
 
+def _networkx_line(g: Graph) -> bytes:
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    return nx.to_graph6_bytes(ng, nodes=range(g.n), header=False)
+
+
 class TestGraph6Oracle:
     """The codec against networkx's graph6 reader and writer, which share no
     code with it."""
 
     def test_against_networkx(self):
         for g in _oracle_graphs():
-            ng = nx.Graph()
-            ng.add_nodes_from(range(g.n))
-            ng.add_edges_from(g.edges())
-            line = nx.to_graph6_bytes(ng, nodes=range(g.n), header=False)
+            line = _networkx_line(g)
             assert to_graph6(g) + "\n" == line.decode("ascii")
             assert parse_graph6(line) == g
             back = nx.from_graph6_bytes(to_graph6(g).encode("ascii"))
             assert back.number_of_nodes() == g.n
             assert sorted(tuple(sorted(e)) for e in back.edges()) == g.edges()
+
+
+# packed rows of 1, 2, 4 and 8 bytes (two from n = 9), and both sides of the
+# 4-byte size prefix (n >= 63)
+BATCH_ORDERS = (*range(17), 30, 62, 63, 64)
+# around one SWEEP_CHUNK of verify
+BATCH_SIZES = (0, 1, 2, 1023, 1024, 1025)
+
+
+def _pool(n: int) -> list[Graph]:
+    """37 graphs of order n, drawn in turn into batches: a prime count, so
+    each graph meets shifting neighbours and slots."""
+    if n == 0:
+        return [Graph(0, ())]
+    return [random_graph(n, (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)[i % 7], 1000 * n + i) for i in range(37)]
+
+
+class TestGraph6Lines:
+    """The batch encoder against networkx's writer and its one-graph call,
+    and the batch minimum degrees against :func:`min_degree`."""
+
+    @pytest.mark.parametrize("n", BATCH_ORDERS)
+    def test_against_networkx(self, n):
+        pool = _pool(n)
+        want = [_networkx_line(g) for g in pool]
+        ones = [to_graph6(g).encode() + b"\n" for g in pool]
+        for size in BATCH_SIZES:
+            picks = [i % len(pool) for i in range(size)]
+            lines = graph6_lines([pool[i] for i in picks], n)
+            assert lines == b"".join(want[i] for i in picks), size
+            assert lines == b"".join(ones[i] for i in picks), size
+
+    @pytest.mark.parametrize("n", BATCH_ORDERS[1:])
+    def test_min_degrees(self, n):
+        pool = _pool(n)
+        for size in BATCH_SIZES:
+            batch = [pool[i % len(pool)] for i in range(size)]
+            got = _rows_min_degrees(_pack_rows(batch, n), n, size)
+            assert list(got) == [min_degree(g) for g in batch], size
 
 
 class TestNeighborhoods:

@@ -164,10 +164,19 @@ def _format_records(g6s: list[str], minimal: bytes, dmins: bytes, n: int, k: int
 
 def _records(graphs: list[Graph], minimal: bytes, n: int, k: int, fmt: str) -> tuple[str, list[str]]:
     """:func:`_format_records` of a batch of k-factor-critical graphs of order
-    n: graph6 strings and minimum degrees come from one packing of its rows."""
+    n: graph6 strings and minimum degrees come from one packing of its rows.
+
+    Every k-factor-critical graph has minimum degree at least k + 1
+    (deleting k vertices that hold the neighbours of a vertex of degree at
+    most k isolates it), so a batch with a smaller minimum degree holds a
+    wrong verdict: ``RuntimeError``."""
     packed = _pack_rows(graphs, n)
     g6s = _rows_graph6(packed, n, len(graphs)).decode("ascii").split("\n")[:-1]
-    return _format_records(g6s, minimal, _rows_min_degrees(packed, n, len(graphs)), n, k, fmt)
+    dmins = _rows_min_degrees(packed, n, len(graphs))
+    low = min(dmins, default=k + 1)
+    if low <= k:
+        raise RuntimeError(f"{g6s[dmins.index(low)]} was decided {k}-factor-critical with minimum degree {low}")
+    return _format_records(g6s, minimal, dmins, n, k, fmt)
 
 
 def verify_scan(args: argparse.Namespace) -> int:
@@ -449,7 +458,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built at the first :func:`main` call
+    and reused by every later one in the process.
+
+    Reuse carries no state from one call to the next: no argument appends
+    to a default, and ``parse_args`` returns a fresh ``Namespace`` each
+    time. A subcommand's default ``func`` is the name of its function, which
+    ``main`` looks up in this module on each call, so a function replaced
+    after the first call (a test's patch, a tracing hook) is the one that
+    runs."""
     parser = argparse.ArgumentParser(
         prog="factorcrit",
         description="verification toolkit for factor-criticality of small graphs",
@@ -460,13 +479,13 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--graph", required=True, help="graph6 string, file path, or - for stdin")
     an.add_argument("--k", type=int, required=True)
     an.add_argument("--format", choices=["human", "json"], default="human")
-    an.set_defaults(func=_cmd_analyze)
+    an.set_defaults(func="_cmd_analyze")
 
     cl = sub.add_parser("classify", help="configuration label for a 10-vertex graph")
     cl.add_argument("--graph", required=True)
     cl.add_argument("--edge", required=True, metavar="U,V", help="designated missing edge")
     cl.add_argument("--format", choices=["human", "json"], default="human")
-    cl.set_defaults(func=_cmd_classify)
+    cl.set_defaults(func="_cmd_classify")
 
     ve = sub.add_parser("verify", help="minimum-degree sweep over a graph source")
     ve.add_argument("--n", type=int, required=True)
@@ -479,28 +498,27 @@ def _build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--jobs", type=int, default=1)
     ve.add_argument("--format", choices=["human", "json", "tsv"], default="human")
     ve.add_argument("--log", default=None, help="append-only NDJSON run log path")
-    ve.set_defaults(func=verify_scan)
+    ve.set_defaults(func="verify_scan")
 
     mi = sub.add_parser("minimalize", help="delete edges until minimal k-factor-critical")
     mi.add_argument("--graph", required=True)
     mi.add_argument("--k", type=int, required=True)
     mi.add_argument("--seed", type=int, default=0)
-    mi.set_defaults(func=_cmd_minimalize)
+    mi.set_defaults(func="_cmd_minimalize")
 
     ce = sub.add_parser("certify", help="per-edge certificates of a minimal graph")
     ce.add_argument("--graph", required=True)
     ce.add_argument("--k", type=int, required=True)
     ce.add_argument("--format", choices=["human", "json"], default="human")
-    ce.set_defaults(func=_cmd_certify)
+    ce.set_defaults(func="_cmd_certify")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv  # for the run log
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

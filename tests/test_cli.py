@@ -21,6 +21,7 @@ from factorcrit import cli, criticality, kfc_and_minimal_batch
 from factorcrit.cli import main
 from factorcrit.criticality import _batch_kernel, _edge_lanes
 from conftest import disjoint_cliques
+from test_golden import CASES, Digest, run_cli
 
 K4 = "C~"
 K6 = to_graph6(complete_graph(6))
@@ -403,20 +404,23 @@ class TestVerify:
 
     @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
     def test_counterexample_path(self, capsys, monkeypatch, tmp_path, fmt):
-        # report every graph as minimal 2-factor-critical: each one whose
-        # minimum degree is not 3 is then a counterexample
-        monkeypatch.setattr(cli, "_batch_kernel", lambda lanes, n, k, count: ((1 << count) - 1,) * 2)
+        # report every graph with minimum degree at least 3 as minimal
+        # 2-factor-critical: each one whose minimum degree is not 3 is then
+        # a counterexample
+        graphs = list(all_graphs(6))
+        lane = sum(1 << i for i, g in enumerate(graphs) if min_degree(g) >= 3)
+        monkeypatch.setattr(cli, "_batch_kernel", lambda lanes, n, k, count: (lane, lane))
         log = tmp_path / "runs.ndjson"
         code, out, err = run(
             capsys, "verify", "--n", "6", "--k", "2", "--source", "all",
             "--format", fmt, "--jobs", "1", "--log", str(log),
         )
-        graphs = list(all_graphs(6))
-        failing = [to_graph6(g) for g in graphs if min_degree(g) != 3]
-        assert len(graphs) == 156 and len(failing) == 141
+        kept = [g for g in graphs if min_degree(g) >= 3]
+        failing = [to_graph6(g) for g in kept if min_degree(g) != 3]
+        assert len(graphs) == 156 and len(kept) == 19 and len(failing) == 4
         assert code == 1
 
-        summary = "scanned=156 kfc=156 minimal=156 failures=141\n"
+        summary = "scanned=156 kfc=19 minimal=19 failures=4\n"
         counterexamples = "".join(f"counterexample: {g6}\n" for g6 in failing)
         lines = out.splitlines()
         if fmt == "human":
@@ -426,9 +430,9 @@ class TestVerify:
             assert err == summary + counterexamples
         if fmt == "tsv":
             assert lines.pop(0).split("\t")[-1] == "witness"
-        assert len(lines) == 156
+        assert len(lines) == 19
 
-        for g, line in zip(graphs, lines):
+        for g, line in zip(kept, lines):
             g6, dmin = to_graph6(g), min_degree(g)
             verdict = "pass" if dmin == 3 else "fail"
             witness = None if dmin == 3 else {"min_degree": dmin, "expected": 3}
@@ -443,14 +447,32 @@ class TestVerify:
             else:
                 assert line == f"{g6}  minimal=True   min_degree={dmin}  verdict={verdict}"
         if fmt == "json":
-            assert lines[0] == (
-                '{"graph6": "E???", "n": 6, "k": 2, "is_kfc": true, "is_minimal": true, '
-                '"min_degree": 0, "verdict": "fail", "witness": {"min_degree": 0, "expected": 3}}'
+            assert lines[15] == (
+                '{"graph6": "E]~o", "n": 6, "k": 2, "is_kfc": true, "is_minimal": true, '
+                '"min_degree": 4, "verdict": "fail", "witness": {"min_degree": 4, "expected": 3}}'
             )
 
         entry = json.loads(log.read_text())
-        assert entry["counts"] == {"scanned": 156, "kfc": 156, "minimal": 156}
+        assert entry["counts"] == {"scanned": 156, "kfc": 19, "minimal": 19}
         assert entry["verdict"] == "fail"
+
+    @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
+    def test_kfc_verdict_below_degree_bound_exit_3(self, capsys, monkeypatch, tmp_path, fmt):
+        # a kernel that calls every order-6 class minimal 2-factor-critical,
+        # E??? (no edges) among them: a k-FC verdict on a graph with minimum
+        # degree at most k is an internal error, not a counterexample
+        monkeypatch.setattr(cli, "_batch_kernel", lambda lanes, n, k, count: ((1 << count) - 1,) * 2)
+        log = tmp_path / "runs.ndjson"
+        code, out, err = run(
+            capsys, "verify", "--n", "6", "--k", "2", "--source", "all",
+            "--format", fmt, "--jobs", "1", "--log", str(log),
+        )
+        assert code == 3
+        assert err == "internal error: E??? was decided 2-factor-critical with minimum degree 0\n"
+        assert "counterexample:" not in out + err
+        # the batch fails before its records are written, and no run is logged
+        assert out == ("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n" if fmt == "tsv" else "")
+        assert not log.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exhaustive_sweeps_match_file_source(self, capsys, tmp_path, reps8, jobs):
@@ -625,6 +647,54 @@ class TestCertify:
     def test_k6_exit_1(self, capsys):
         code, _, err = run(capsys, "certify", "--graph", K6, "--k", "2")
         assert code == 1 and "certificate-free" in err
+
+
+# a call that argparse rejects with exit 2
+REJECTED = ["verify", "--n", "6", "--k", "2", "--source", "all", "--format", "xml"]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call leaves
+    state behind for the next one."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_golden_cases_in_one_process(self):
+        # the file's order, then the even cases followed by the odd ones
+        # backwards, so each subcommand follows different ones
+        orders = (CASES, CASES[::2] + CASES[1::2][::-1])
+        for order in orders:
+            for case in order:
+                code, out, err = run_cli(case.argv)
+                assert err == case.stderr, case.name
+                if isinstance(case.stdout, Digest):
+                    assert out.count("\n") == case.stdout.lines, case.name
+                    assert hashlib.sha256(out.encode()).hexdigest() == case.stdout.sha256, case.name
+                else:
+                    assert out == case.stdout, case.name
+                assert code == case.code, case.name
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(REJECTED)
+                assert exc.value.code == 2
+
+    def test_log_flag_does_not_carry_over(self, capsys, tmp_path):
+        log = tmp_path / "runs.ndjson"
+        args = ("verify", "--n", "4", "--k", "2", "--source", "all")
+        run(capsys, *args, "--log", str(log))
+        run(capsys, *args)
+        entries = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(entries) == 1
+        assert entries[0]["command"] == " ".join(["factorcrit", *args, "--log", str(log)])
+
+    def test_patch_after_first_call_takes_effect(self, capsys, monkeypatch):
+        args = ("verify", "--n", "4", "--k", "2", "--source", "all")
+        assert run(capsys, *args)[0] == 0  # builds the parser, if nothing has yet
+        assert cli._build_parser.cache_info().currsize == 1
+        seen = []
+        monkeypatch.setattr(cli, "verify_scan", lambda ns: seen.append(ns.n) or 7)
+        assert run(capsys, *args) == (7, "", "")
+        assert seen == [4]
 
 
 def test_console_entry_point():

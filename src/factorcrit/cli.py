@@ -220,7 +220,7 @@ def verify_scan(args: argparse.Namespace) -> int:
     if not 0.0 <= args.p <= 1.0:
         raise GraphError(f"edge probability {args.p} outside [0, 1]")
 
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
     data = None
     if source == "sample":
         if not 1 <= n <= 64:  # random_graph's range, checked before the tsv header

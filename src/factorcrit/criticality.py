@@ -12,9 +12,12 @@ matching of G - S for every k-set S (:class:`_Witnesses`). Deleting uv
 breaks only the matchings that use uv, and with uv dropped u and v are the
 only exposed vertices. Any augmenting path repairs such a matching (Berge's
 theorem), so the three-edge path u - a = b - v is tried first: a is the
-lowest neighbour of u whose mate b is adjacent to v. Only when no such a
-exists does one blossom search from u run, which either repairs the matching
-or proves that G - uv - S has none. Every other S keeps its matching. The
+lowest neighbour of u whose mate b is adjacent to v. Failing that, the
+five-edge path u - a = b - c = d - v is tried, c the lowest neighbour of b
+but a whose mate d is adjacent to v. Only when neither exists does one
+blossom search from u run, which either repairs the matching or proves that
+G - uv - S has none. Each S is decided exactly, so which repair is found
+changes no deletion or certificate. Every other S keeps its matching. The
 broken matchings are repaired in ascending order of S, so the first one that
 cannot be repaired is the lowest failing k-set of G - uv: the certificate a
 full sweep of G - uv would report.
@@ -79,7 +82,7 @@ from .graphs import (
     min_degree,
     normalize_edge,
 )
-from .matching import _augment_three, _find_augmenting, _first_failing_subset
+from .matching import _augment_five, _augment_three, _find_augmenting, _first_failing_subset
 
 
 class NotKFactorCriticalError(GraphError):
@@ -122,7 +125,8 @@ class _Witnesses:
             m = match.copy()
             m[u] = m[v] = -1
             sub = full & ~s
-            if _augment_three(adj, sub, m, u, 1 << v) < 0 and _find_augmenting(n, adj, sub, m, u):
+            if (_augment_three(adj, sub, m, u, 1 << v) < 0 and not _augment_five(adj, sub, m, u, v)
+                    and _find_augmenting(n, adj, sub, m, u)):
                 return s
             repaired.append((i, s, m))
         if commit:

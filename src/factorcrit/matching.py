@@ -142,6 +142,32 @@ def _augment_three(adj: tuple[int, ...], sub: int, match: list[int], v: int, tar
     return -1
 
 
+def _augment_five(adj: tuple[int, ...], sub: int, match: list[int], u: int, v: int) -> bool:
+    """Augment along the first path u - a = b - c = d - v, or return False
+    with ``match`` unchanged: a ascending in N(u), b = match[a], c the lowest
+    neighbour of b but a whose mate d is adjacent to v. Requires u and v
+    non-adjacent and the only exposed vertices of ``sub``."""
+    dv = 0  # the mates of v's neighbours
+    row = adj[v] & sub
+    while row:
+        bit = row & -row
+        row ^= bit
+        dv |= 1 << match[bit.bit_length() - 1]
+    row = adj[u] & sub
+    while row:
+        bit = row & -row
+        row ^= bit
+        a = bit.bit_length() - 1
+        b = match[a]
+        ends = adj[b] & dv & ~bit
+        if ends:
+            c = (ends & -ends).bit_length() - 1
+            d = match[c]
+            match[u], match[a], match[b], match[c], match[d], match[v] = a, u, c, b, v, d
+            return True
+    return False
+
+
 def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool = False) -> list[int] | None:
     """Maximum matching on the vertices of ``sub`` as a match array.
 

@@ -402,6 +402,16 @@ class TestVerify:
         assert run(capsys, *args, "--jobs", "100000") == single
         assert sizes == [3, 4]
 
+    @pytest.mark.parametrize("source", ["all", "sample"])
+    def test_one_job_asks_no_cpu_count(self, capsys, monkeypatch, source):
+        # --jobs 1 runs in-process, so the CPU count is never needed
+        def refuse():
+            raise AssertionError("os.cpu_count called")
+
+        monkeypatch.setattr(os, "cpu_count", refuse)
+        code, out, _ = run(capsys, "verify", "--n", "6", "--k", "2", "--source", source, "--samples", "3", "--jobs", "1")
+        assert code == 0 and out
+
     @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
     def test_counterexample_path(self, capsys, monkeypatch, tmp_path, fmt):
         # report every graph with minimum degree at least 3 as minimal

@@ -35,7 +35,7 @@ from factorcrit import (
 from factorcrit import criticality
 from factorcrit.cli import main
 from factorcrit.criticality import _edge_deletable, _Witnesses
-from factorcrit.matching import _find_augmenting, _first_failing_subset
+from factorcrit.matching import _augment_five, _find_augmenting, _first_failing_subset
 from conftest import disjoint_cliques, petersen
 
 
@@ -422,15 +422,22 @@ class TestWitnessRepair:
 
     def test_repairs_match_scratch_sweep(self, monkeypatch):
         """Every edge test of a committed deletion pass equals a sweep of
-        G - e from scratch, and both repairs occur: the three-edge path, and
-        the blossom search when there is none, which succeeds or fails."""
+        G - e from scratch, and every repair occurs: the three-edge path,
+        the five-edge path when there is none, and the blossom search when
+        neither exists, which succeeds or fails."""
         counts = Counter()
+
+        def five(adj, sub, match, u, v):
+            found = _augment_five(adj, sub, match, u, v)
+            counts["five-edge repairs"] += found
+            return found
 
         def counting(n, adj, sub, match, root):
             stuck = _find_augmenting(n, adj, sub, match, root)
             counts["search failed" if stuck else "search found"] += 1
             return stuck
 
+        monkeypatch.setattr(criticality, "_augment_five", five)
         monkeypatch.setattr(criticality, "_find_augmenting", counting)
 
         @settings(max_examples=400, deadline=None, derandomize=True)
@@ -447,19 +454,22 @@ class TestWitnessRepair:
                 current = w.graph()
                 want = _first_failing_subset(g.n, delete_edge(current, (u, v)).adj, g.vertex_mask, k)
                 broken = [s for s, match in w.table if match[u] == v]
-                found, failed = counts["search found"], counts["search failed"]
+                before = counts.copy()
                 got = w.failing_without(u, v, commit=True)
                 assert got == want
                 # every returned set is the first whose repair fails
-                assert counts["search failed"] - failed == (got is not None)
+                assert counts["search failed"] - before["search failed"] == (got is not None)
                 below = sum(got is None or s < got for s in broken)
-                counts["path repairs"] += below - (counts["search found"] - found)
+                counts["three-edge repairs"] += below - sum(
+                    counts[kind] - before[kind] for kind in ("five-edge repairs", "search found")
+                )
                 if got is None:
                     _assert_table_perfect(w)
 
         check()
         assert counts["k-FC graphs"] >= 50
-        assert counts["path repairs"] and counts["search found"] and counts["search failed"]
+        for kind in ("three-edge repairs", "five-edge repairs", "search found", "search failed"):
+            assert counts[kind], kind
 
     def test_degree_forced_edges(self):
         """An edge with an endpoint of degree k + 1 leaves G - e without

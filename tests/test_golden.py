@@ -166,6 +166,13 @@ CASES = [
         'scanned=20 kfc=20 minimal=20 failures=0\n',
     ),
     Case(
+        'verify_sample_14_4_json',
+        ['verify', '--n', '14', '--k', '4', '--source', 'sample', '--samples', '5', '--seed', '0', '--format', 'json'],
+        0,
+        '{"graph6": "MUXcIyWK`aPAOn@j?", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n{"graph6": "MHhSQKFkIouOPiiP?", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n{"graph6": "MD\\\\`?CDTkb|OpwiO_", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n{"graph6": "MGuaa@]kOV_mlOgd?", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n{"graph6": "MGyF@aSbo[EDSpTY?", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n',
+        'scanned=5 kfc=5 minimal=5 failures=0\n',
+    ),
+    Case(
         'minimalize_dense_seed0',
         ['minimalize', '--graph', 'K^R}vzn~`|R^', '--k', '2'],
         0,

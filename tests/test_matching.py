@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import signal
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -24,7 +25,7 @@ from factorcrit import (
     odd_components,
     random_graph,
 )
-from factorcrit.matching import _augment_three, _find_augmenting, _match_array
+from factorcrit.matching import _augment_five, _augment_three, _find_augmenting, _match_array
 from conftest import disjoint_cliques, petersen
 
 P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -426,3 +427,72 @@ class TestThreeEdgePath:
             for stop_on_exposed in (False, True):
                 got = _match_array(g.n, g.adj, sub, stop_on_exposed)
                 assert got == reference_match_array(g.n, g.adj, sub, stop_on_exposed)
+
+
+def path_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+class TestFiveEdgePath:
+    def test_augments_along_p6(self):
+        # u - a = b - c = d - v with u, a, b, c, d, v = 0..5
+        g = path_graph(6)
+        match = [-1, 2, 1, 4, 3, -1]
+        assert _augment_five(g.adj, g.vertex_mask, match, 0, 5)
+        assert match == [1, 0, 3, 2, 5, 4]
+
+    def test_no_path_on_p8(self):
+        # the only augmenting path from 0 to 7 has seven edges
+        g = path_graph(8)
+        match = [-1, 2, 1, 4, 3, 6, 5, -1]
+        assert not _augment_five(g.adj, g.vertex_mask, match, 0, 7)
+        assert match == [-1, 2, 1, 4, 3, 6, 5, -1]
+
+    def test_repairs_a_dropped_edge(self):
+        """With uv dropped from a perfect matching of G - S and deleted from
+        G, the helper takes the first five-edge path in its scan order, and
+        its result is a perfect matching of G - uv - S; with no such path it
+        leaves the match array unchanged."""
+        counts = Counter()
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(st.integers(2, 14), st.sampled_from((0.3, 0.45, 0.6, 0.8)), st.integers(0, 2**32),
+               st.sets(st.integers(0, 13), max_size=4), st.data())
+        def check(n, p, seed, removed, data):
+            g = random_graph(n, p, seed)
+            sub = g.vertex_mask & ~mask_of(removed)
+            match = reference_match_array(g.n, g.adj, sub)
+            if not sub or any(match[x] == -1 for x in bits(sub)):
+                return
+            u = data.draw(st.sampled_from([x for x in bits(sub) if match[x] > x]))
+            v = match[u]
+            match[u] = match[v] = -1
+            adj = list(g.adj)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+            paths = [
+                (a, c)
+                for a in bits(adj[u] & sub)
+                for c in bits(adj[match[a]] & sub & ~(1 << a))
+                if match[c] != -1 and adj[v] >> match[c] & 1
+            ]
+            got = match.copy()
+            if not _augment_five(adj, sub, got, u, v):
+                assert not paths and got == match
+                counts["none"] += 1
+                return
+            a, c = paths[0]
+            b, d = match[a], match[c]
+            want = match.copy()
+            want[u], want[a], want[b], want[c], want[d], want[v] = a, u, c, b, v, d
+            assert got == want
+            for x in range(n):
+                y = got[x]
+                if sub >> x & 1:
+                    assert y != x and sub >> y & 1 and got[y] == x and adj[x] >> y & 1
+                else:
+                    assert y == -1
+            counts["repaired"] += 1
+
+        check()
+        assert counts["repaired"] >= 20 and counts["none"] >= 20

@@ -52,7 +52,7 @@ EXIT_INTERNAL = 3
 DEFAULT_SAMPLE_P = 0.8
 # classes per bit-sliced batch of an exhaustive sweep, and results per batch
 # of records; an `all` --jobs task is one batch's edge lanes, never its graphs
-SWEEP_CHUNK = 1024
+SWEEP_CHUNK = 4096
 
 
 def _vertices(mask: int) -> list[int]:

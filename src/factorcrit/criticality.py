@@ -45,16 +45,20 @@ where t = min T. It is exact: a perfect matching of T matches t to some
 neighbour v in T and the rest of T perfectly, and every such choice gives
 one. A singleton gets the empty OR, so odd sets have none. PM is memoised
 on T; the graphs that are k-FC are the AND of PM[V - S] over the k-sets S.
-Deleting uv changes only the entries whose sets hold both u and v, so each
-edge test zeroes lane(u, v), recomputes those entries, and ANDs PM[V - S]
-over the k-sets S that avoid u and v (the others keep their matchings).
+The edge test of ab (a < b) ANDs PM of G - ab over T = V - S for the k-sets
+S that avoid a and b (the others keep their matchings). A perfect matching
+can be grown from any vertex, not only the lowest (Lovász and Plummer,
+"Matching Theory", 1986), so it is grown from a: a is matched to some w in
+T - a - b, and T - a - w no longer holds a, so ab plays no part in it:
+
+    PM_{G - ab}[T] = OR over w in T - a - b of lane(a, w) & PM[T - a - w]
+
+with PM the memo of G itself, which the edge tests only extend.
 
 The edge lanes of a batch (:func:`_edge_lanes`) are its whole input:
 :func:`_batch_kernel` decides a batch from them alone. An exhaustive sweep
 builds the lanes of an order's cached classes at that order's first sweep
-and reuses them for every later k; the kernel zeroes lane(u, v) on its own
-copy of the rows, so it never writes the layout it is given, not even when
-it stops part-way.
+and reuses them for every later k; the kernel only reads them.
 
 The memo holds up to 2^(n-1) sets, each an int as long as the batch, so
 the per-graph path above stays for single graphs, sampled starts and graph
@@ -285,16 +289,21 @@ def _pm_lane(t: int, lanes: list[list[int]], memo: dict[int, int]) -> int:
     x = memo.get(t)
     if x is None:
         low = t & -t
-        row = lanes[low.bit_length() - 1]
-        rest = r = t ^ low
-        x = 0
-        while r:
-            b = r & -r
-            lane = row[b.bit_length() - 1]
-            if lane:
-                x |= lane & _pm_lane(rest ^ b, lanes, memo)
-            r ^= b
-        memo[t] = x
+        x = memo[t] = _matched_lane(t ^ low, t ^ low, lanes[low.bit_length() - 1], lanes, memo)
+    return x
+
+
+def _matched_lane(rest: int, mates: int, row: list[int], lanes: list[list[int]], memo: dict[int, int]) -> int:
+    """OR over v in ``mates`` of row[v] & PM[rest - v]: the graphs in which
+    the vertex whose edge lanes are ``row`` is matched to some v of ``mates``
+    and ``rest`` - v has a perfect matching."""
+    x = 0
+    while mates:
+        b = mates & -mates
+        lane = row[b.bit_length() - 1]
+        if lane:
+            x |= lane & _pm_lane(rest ^ b, lanes, memo)
+        mates ^= b
     return x
 
 
@@ -316,9 +325,7 @@ def kfc_and_minimal_batch(graphs: Sequence[Graph], k: int) -> tuple[int, int]:
 
 def _batch_kernel(lanes: list[list[int]], n: int, k: int, count: int) -> tuple[int, int]:
     """The two lanes of :func:`kfc_and_minimal_batch` from the edge lanes of
-    ``count`` graphs of order n, with 0 <= k < n. ``lanes`` is read, never
-    written: the edge tests zero lane ab on a copy of its rows."""
-    lanes = [row.copy() for row in lanes]
+    ``count`` graphs of order n, with 0 <= k < n. ``lanes`` is only read."""
     full = (1 << n) - 1
     ksets = list(_k_subsets_ascending(n, k))
     memo = {0: (1 << count) - 1}
@@ -329,22 +336,20 @@ def _batch_kernel(lanes: list[list[int]], n: int, k: int, count: int) -> tuple[i
             return 0, 0
     deletable = 0
     for a in range(n - 1):
-        row = lanes[a]
+        col = [row[a] for row in lanes[:a]] + list(lanes[a][a:])  # lane(a, w) for every w
         for b in range(a + 1, n):
-            lane = row[b]
-            todo = lane & kfc & ~deletable
+            todo = col[b] & kfc & ~deletable
             if not todo:
                 continue
-            # G - ab changes only the entries whose sets hold both a and b
+            # in G - ab, a is matched to some w other than b, and T - a - w
+            # holds no a: PM of G serves it
             ab = 1 << a | 1 << b
-            without = {t: x for t, x in memo.items() if t & ab != ab}
-            row[b] = 0
             for s in ksets:
                 if not s & ab:
-                    todo &= _pm_lane(full ^ s, lanes, without)
+                    rest = full ^ s ^ 1 << a
+                    todo &= _matched_lane(rest, rest ^ 1 << b, col, lanes, memo)
                     if not todo:
                         break
-            row[b] = lane
             deletable |= todo
     return kfc, kfc & ~deletable
 

@@ -17,7 +17,7 @@ from factorcrit import (
     Graph, Graph6Error, all_graphs, complete_graph, cycle_graph, graph6_lines, graph_from_edges, kfc_and_minimal,
     min_degree, parse_graph6, read_graph6_stream, to_graph6,
 )
-from factorcrit import cli, criticality, kfc_and_minimal_batch
+from factorcrit import cli, kfc_and_minimal_batch
 from factorcrit.cli import main
 from factorcrit.criticality import _batch_kernel, _edge_lanes
 from conftest import disjoint_cliques
@@ -29,6 +29,24 @@ C5 = to_graph6(cycle_graph(5))
 C6 = to_graph6(cycle_graph(6))
 K3K7 = to_graph6(disjoint_cliques([3, 7]))
 CRITERION_3_SWEEPS = ((4, 2), (5, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 2), (8, 4), (8, 6))
+
+
+def batch_counts(classes: int) -> list[int]:
+    """The number of classes in each ``SWEEP_CHUNK`` batch of an order."""
+    return [min(cli.SWEEP_CHUNK, classes - base) for base in range(0, classes, cli.SWEEP_CHUNK)]
+
+
+def favaron_violations(kernel, reps8) -> tuple[int, int]:
+    """(batch pairs, graphs) over the cached batches of orders <= 8 and every
+    k >= 2: how many (batch, k) pairs were checked, and how many graphs
+    ``kernel`` decides k-factor-critical but not (k - 2)-factor-critical."""
+    pairs = violations = 0
+    for n in range(1, 9):
+        for lanes, count in zip(cli._sweep_lanes(n), batch_counts(len(reps8[n]))):
+            kfc = [kernel(lanes, n, k, count)[0] for k in range(n)]
+            pairs += max(0, n - 2)
+            violations += sum((kfc[k] & ~kfc[k - 2]).bit_count() for k in range(2, n))
+    return pairs, violations
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -497,30 +515,35 @@ class TestVerify:
             assert exhaustive == run(capsys, *args, "--source", f"file:{path}"), (n, k)
             assert exhaustive[0] == 0 and f"scanned={len(reps8[n])} " in exhaustive[2]
 
-    def test_sweeps_never_write_the_cached_lanes(self, capsys, monkeypatch, reps8):
+    def test_sweeps_never_write_the_cached_lanes(self, capsys, reps8):
         for n, k in CRITERION_3_SWEEPS:
             assert run(capsys, "verify", "--n", str(n), "--k", str(k), "--source", "all")[0] == 0
-        cached = {n: cli._sweep_lanes(n) for n, _ in CRITERION_3_SWEEPS}
-        # stop a sweep inside its first edge test, while lane ab is zeroed:
-        # a kernel call's first memo is its k-FC memo, and an edge test
-        # passes the same rows with another memo
-        pm_lane, first_memo = criticality._pm_lane, {}
-
-        def stop_in_edge_test(t, lanes, memo):
-            # lanes is kept, so its id names the same rows throughout
-            if first_memo.setdefault(id(lanes), (lanes, memo))[1] is not memo:
-                raise RuntimeError("stopped in an edge test")
-            return pm_lane(t, lanes, memo)
-
-        monkeypatch.setattr(criticality, "_pm_lane", stop_in_edge_test)
-        code, _, err = run(capsys, "verify", "--n", "8", "--k", "2", "--source", "all")
-        assert code == 3 and err == "internal error: stopped in an edge test\n"
-        monkeypatch.undo()
+        cached = {n: cli._sweep_lanes(n) for n in range(1, 9)}
+        # rows that cannot be written: any write inside the kernel raises,
+        # and every cached batch gets the verdicts of its lists at every k
+        for n, lanes in cached.items():
+            for batch, count in zip(lanes, batch_counts(len(reps8[n]))):
+                frozen = tuple(map(tuple, batch))
+                for k in range(n):
+                    assert _batch_kernel(frozen, n, k, count) == _batch_kernel(batch, n, k, count), (n, k)
         assert cli._sweep_lanes(8) is cached[8]
         for n, lanes in cached.items():
             graphs = reps8[n]
             fresh = [_edge_lanes(graphs[i:i + cli.SWEEP_CHUNK], n) for i in range(0, len(graphs), cli.SWEEP_CHUNK)]
             assert list(lanes) == fresh, n
+
+    def test_kfc_batches_lie_inside_the_batches_two_below(self, reps8):
+        # Favaron 1996: a k-factor-critical graph is (k - 2)-factor-critical
+        assert favaron_violations(_batch_kernel, reps8) == (39, 0)
+
+    def test_a_stray_kfc_bit_breaks_the_inclusion(self, reps8):
+        # a kernel that also calls the first order-8 class, the empty graph,
+        # 4-factor-critical: that graph is not 2-factor-critical
+        def stray(lanes, n, k, count):
+            kfc, minimal = _batch_kernel(lanes, n, k, count)
+            return (kfc | 1, minimal) if (n, k) == (8, 4) and lanes is cli._sweep_lanes(8)[0] else (kfc, minimal)
+
+        assert favaron_violations(stray, reps8) == (39, 1)
 
     def test_batch_kernel_leaves_its_lanes_unchanged(self, reps8):
         graphs = reps8[8][:cli.SWEEP_CHUNK]

@@ -56,6 +56,14 @@ GRAPH6_STREAM_SHA256 = {
 # the same for n = 9, recorded with the order cap raised and nothing else
 # changed
 ORDER_9_SHA256 = "c10e34212e8fa440dd1841b425b5d649d1e038ddca53a9faa836589a920b3ec7"
+# SHA-256 of the stdout of `verify --n 9 --k K --source all`, human format, by
+# K, as recorded in BENCH_20.json
+ORDER_9_SWEEP_SHA256 = {
+    1: "845872aec841be15d382cfe285809e53d44fbd56de1deb79af79bac53ecb0411",
+    3: "84e63253d4e4c2863e898d42c4639e3a5b6e4a291062ea733106457f498ecaf8",
+    5: "104a177240a34bc46921be88935d9c9361709af8f597a9b2ab9d6b766fa5ccd9",
+    7: "ca9010be79b07c4e72bf082d4fd88bae221718ac43dd8514a7ea77dabc08b499",
+}
 
 
 def _degree_sequence(adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -286,19 +294,26 @@ class TestAllGraphs:
             assert edge_histogram(9, reps) == burnside_edge_counts(9)
             assert hashlib.sha256(graph6_lines(reps, 9)).hexdigest() == ORDER_9_SHA256
             # the four order-9 sweeps on the classes generated above
+            records = {}
             for k, kfc, minimal in ((1, 184_036, 17), (3, 13_484, 74), (5, 51, 6), (7, 1, 1)):
                 out, err = io.StringIO(), io.StringIO()
                 with redirect_stdout(out), redirect_stderr(err):
                     code = main(["verify", "--n", "9", "--k", str(k), "--source", "all"])
+                assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ORDER_9_SWEEP_SHA256[k], k
                 lines = out.getvalue().splitlines()
                 assert code == 0 and err.getvalue() == ""
                 assert lines.pop() == f"scanned=274668 kfc={kfc} minimal={minimal} failures=0"
+                # the same bytes from --jobs 2, whose tasks ship the batches' edge lanes
+                out2, err2 = io.StringIO(), io.StringIO()
+                with redirect_stdout(out2), redirect_stderr(err2):
+                    code2 = main(["verify", "--n", "9", "--k", str(k), "--source", "all", "--jobs", "2"])
+                assert (code2, out2.getvalue(), err2.getvalue()) == (code, out.getvalue(), "")
+                # a k-factor-critical graph is (k - 2)-factor-critical (Favaron 1996)
+                records[k] = {line.split()[0] for line in lines}
+                assert len(records[k]) == kfc
+                if k > 1:
+                    assert records[k] <= records[k - 2], k
                 if k >= 5:
-                    # the same bytes from --jobs 2, whose tasks ship the batches' edge lanes
-                    out2, err2 = io.StringIO(), io.StringIO()
-                    with redirect_stdout(out2), redirect_stderr(err2):
-                        code2 = main(["verify", "--n", "9", "--k", str(k), "--source", "all", "--jobs", "2"])
-                    assert (code2, out2.getvalue(), err2.getvalue()) == (code, out.getvalue(), "")
                     # few records: check each one against the per-graph path
                     want = []
                     for g in reps:

@@ -29,6 +29,7 @@ from factorcrit import (
     random_graph,
     to_graph6,
 )
+from factorcrit.cli import SWEEP_CHUNK
 from factorcrit.graphs import _pack_rows, _rows_min_degrees
 from conftest import disjoint_cliques, petersen
 
@@ -180,7 +181,7 @@ class TestGraph6Oracle:
 # 4-byte size prefix (n >= 63)
 BATCH_ORDERS = (*range(17), 30, 62, 63, 64)
 # around one SWEEP_CHUNK of verify
-BATCH_SIZES = (0, 1, 2, 1023, 1024, 1025)
+BATCH_SIZES = (0, 1, 2, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1)
 
 
 def _pool(n: int) -> list[Graph]:

@@ -30,7 +30,11 @@ G - uv is not k-FC, and :func:`_edge_deletable` refuses uv without any
 repair. A certificate needs no such case: S_f = N(x) - y is a k-set, in
 G - S_f the only neighbour of x is y, so the kept matching of G - S_f uses
 uv, and its repair fails because x is isolated in G - uv - S_f. The
-ascending scan therefore stops at S_f at the latest.
+ascending scan therefore stops at S_f at the latest. :func:`minimalize`
+first sweeps G - L once, L the edges that the degree rule passes in one walk
+of its order, degrees lowered as each is listed. A spanning supergraph of a
+k-FC graph is k-FC, so if G - L is k-FC every test of L passes, the loop sees
+those degrees, and it deletes exactly L.
 
 Exhaustive sweeps decide many graphs of one order at once
 (:func:`kfc_and_minimal_batch`), bit-sliced after Biham ("A fast new DES
@@ -378,13 +382,24 @@ def minimalize(g: Graph, k: int, seed: int) -> Graph:
     of the module docstring, so it decides exactly what a full sweep of G - e
     decides. Deterministic given (g, k, seed).
 
+    When G minus the edges the degree rule alone would pass is k-FC, it is
+    the result (module docstring), and no witness table is built.
+
     Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """
+    _check_k(g, k)
+    order = g.edges()
+    SplitMix64(seed).shuffle(order)
+    adj = list(g.adj)
+    for u, v in order:
+        if adj[u].bit_count() > k + 1 < adj[v].bit_count():
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+    if _first_failing_subset(g.n, adj, g.vertex_mask, k) is None:
+        return _trusted(g.n, tuple(adj))
     w = _Witnesses(g, k)
     if w.failing is not None:
         raise NotKFactorCriticalError("minimalize requires a k-factor-critical input")
-    order = g.edges()
-    SplitMix64(seed).shuffle(order)
     for e in order:
         _edge_deletable(w, e)
     return w.graph()

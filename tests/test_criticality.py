@@ -20,6 +20,7 @@ from factorcrit import (
     delete_edge,
     delete_vertices,
     graph_from_edges,
+    is_k_connected,
     is_k_factor_critical,
     is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
@@ -295,6 +296,28 @@ class TestMinimalize:
             minimalize(cycle_graph(6), 6, 0)
         assert not isinstance(info.value, NotKFactorCriticalError)
 
+    def test_error_paths_keep_their_order(self, monkeypatch):
+        """A k out of range is a GraphError before any sweep. An odd n + k,
+        or a graph that is not k-FC, fails the listed graph's sweep and then
+        the witness table's, which raises NotKFactorCriticalError."""
+        sweeps = []
+
+        def sweeping(n, adj, sub, k, *witnesses):
+            sweeps.append(k)
+            return _first_failing_subset(n, adj, sub, k, *witnesses)
+
+        monkeypatch.setattr(criticality, "_first_failing_subset", sweeping)
+        for k in (-1, 6, 7):
+            with pytest.raises(GraphError) as info:
+                minimalize(cycle_graph(6), k, 0)
+            assert not isinstance(info.value, NotKFactorCriticalError)
+        assert not sweeps
+        # C6 has no edge to list, and is not bicritical
+        for g, k in ((complete_graph(7), 2), (complete_graph(6), 1), (cycle_graph(6), 2)):
+            with pytest.raises(NotKFactorCriticalError, match="requires a k-factor-critical input"):
+                minimalize(g, k, 0)
+        assert sweeps == [2, 2, 1, 1, 2, 2]
+
 
 # ---------------------------------------------------------------------------
 # witness repair against recomputation by brute force
@@ -320,6 +343,27 @@ def _oracle_minimalize(g: Graph, k: int, seed: int) -> Graph:
         if _oracle_failing(smaller, k) is None:
             current = smaller
     return current
+
+
+def _assert_minimalize_matches_oracle(g: Graph, k: int, seed: int) -> None:
+    if _oracle_failing(g, k) is not None:
+        with pytest.raises(NotKFactorCriticalError):
+            minimalize(g, k, seed)
+    else:
+        assert minimalize(g, k, seed) == _oracle_minimalize(g, k, seed)
+
+
+def _edge_by_edge_minimalize(g: Graph, k: int, seed: int) -> Graph:
+    """minimalize without the listed graph's sweep: every edge of the seeded
+    order is tested on the witness table."""
+    w = _Witnesses(g, k)
+    if w.failing is not None:
+        raise NotKFactorCriticalError("minimalize requires a k-factor-critical input")
+    order = g.edges()
+    SplitMix64(seed).shuffle(order)
+    for e in order:
+        _edge_deletable(w, e)
+    return w.graph()
 
 
 @st.composite
@@ -370,12 +414,46 @@ class TestWitnessRepair:
     @settings(max_examples=60, deadline=None)
     @given(dense_cases(), SEEDS)
     def test_minimalize_matches_oracle(self, case, seed):
-        g, k = case
-        if _oracle_failing(g, k) is not None:
-            with pytest.raises(NotKFactorCriticalError):
-                minimalize(g, k, seed)
-        else:
-            assert minimalize(g, k, seed) == _oracle_minimalize(g, k, seed)
+        _assert_minimalize_matches_oracle(*case, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_cases(), SEEDS)
+    def test_minimalize_matches_oracle_on_sparse_cases(self, case, seed):
+        # near the threshold the listed graph often fails and the loop decides
+        _assert_minimalize_matches_oracle(*case, seed)
+
+    def test_minimalize_matches_edge_by_edge_loop(self, monkeypatch):
+        """On seeded starts of order up to 16, minimalize equals the loop on
+        the witness table, and both of its paths occur: the listed graph's
+        sweep alone, with no table, and the loop after it fails."""
+        counts = Counter()
+
+        class Counted(_Witnesses):
+            def __init__(self, g: Graph, k: int) -> None:
+                counts["tables"] += 1
+                super().__init__(g, k)
+
+        monkeypatch.setattr(criticality, "_Witnesses", Counted)
+
+        @settings(max_examples=250, deadline=None, derandomize=True)
+        @given(st.integers(4, 16), st.sampled_from((0.5, 0.65, 0.8, 0.95)), SEEDS, st.data())
+        def check(n, p, seed, data):
+            k = data.draw(st.sampled_from([k for k in range(5) if k < n and (n + k) % 2 == 0]))
+            g = random_graph(n, p, seed)
+            before = counts["tables"]
+            try:
+                want = _edge_by_edge_minimalize(g, k, seed)
+            except NotKFactorCriticalError:
+                with pytest.raises(NotKFactorCriticalError):
+                    minimalize(g, k, seed)
+                counts["rejected"] += 1
+            else:
+                assert minimalize(g, k, seed) == want
+                counts["listed graph" if counts["tables"] == before else "loop"] += 1
+            assert counts["tables"] - before <= 1
+
+        check()
+        assert counts["listed graph"] >= 60 and counts["loop"] >= 30 and counts["rejected"]
 
     @settings(max_examples=60, deadline=None)
     @given(dense_cases(), SEEDS)
@@ -539,6 +617,41 @@ class TestWitnessRepair:
                 counts["sweep forced edges"] += counts["forced edges"] - before
         assert counts["forced edges"] >= 100 and counts["searches"] and counts["scans"]
         assert counts["sweep forced edges"] >= 300
+
+
+def _few_degree_three(graphs: list[Graph]) -> list[Graph]:
+    """The 3-connected graphs of ``graphs`` with fewer than three vertices of
+    degree 3."""
+    return [g for g in graphs if is_k_connected(g, 3) and sum(g.degree(v) == 3 for v in range(g.n)) < 3]
+
+
+class TestMinimalBricks:
+    """A 3-connected minimal bicritical graph is a minimal brick, and every
+    minimal brick has at least three vertices of degree 3 (Norine & Thomas,
+    "Minimal bricks", J. Combin. Theory Ser. B 96, 2006)."""
+
+    def test_sampled_outputs(self):
+        outputs = []
+        for seed in range(200):
+            try:
+                outputs.append(minimalize(random_graph(12, 0.8, seed), 2, seed))
+            except NotKFactorCriticalError:
+                continue
+        bricks = [m for m in outputs if is_k_connected(m, 3)]
+        assert len(bricks) >= 150
+        assert not _few_degree_three(bricks)
+
+    def test_minimal_records_of_orders_6_and_8(self, reps8):
+        for n, bricks in ((6, 2), (8, 13)):
+            graphs = list(reps8[n])
+            _, minimal = kfc_and_minimal_batch(graphs, 2)
+            records = [g for i, g in enumerate(graphs) if minimal >> i & 1]
+            assert sum(is_k_connected(g, 3) for g in records) == bricks
+            assert not _few_degree_three(records)
+
+    def test_check_fires(self):
+        # K6 is a brick, but not minimal: all six degrees are 5
+        assert _few_degree_three([complete_graph(6)]) == [complete_graph(6)]
 
 
 class TestConnectivityProperties:

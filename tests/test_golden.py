@@ -2,8 +2,8 @@
 
 Primary output is byte-deterministic for fixed flags, seed and input (see
 the README), and these cases pin it: an internal change that alters any of
-them changes what users see. Outputs over 4 KiB are pinned by SHA-256
-digest and line count.
+them changes what users see. Outputs over 4 KiB, and the sampled starts
+of order 16 and 18, are pinned by SHA-256 digest and line count.
 """
 
 from __future__ import annotations
@@ -171,6 +171,29 @@ CASES = [
         0,
         '{"graph6": "MUXcIyWK`aPAOn@j?", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n{"graph6": "MHhSQKFkIouOPiiP?", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n{"graph6": "MD\\\\`?CDTkb|OpwiO_", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n{"graph6": "MGuaa@]kOV_mlOgd?", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n{"graph6": "MGyF@aSbo[EDSpTY?", "n": 14, "k": 4, "is_kfc": true, "is_minimal": true, "min_degree": 5, "verdict": "pass", "witness": null}\n',
         'scanned=5 kfc=5 minimal=5 failures=0\n',
+    ),
+    # sampled starts in which the listed graph's sweep decides most of
+    # minimalize's outputs
+    Case(
+        'verify_sample_16_6_json',
+        ['verify', '--n', '16', '--k', '6', '--source', 'sample', '--samples', '3', '--seed', '0', '--format', 'json'],
+        0,
+        Digest('7676d609872d2f1a3fc8c6342088e67e521071794b5281e88ce9c49b18f94bf6', 3),
+        'scanned=3 kfc=3 minimal=3 failures=0\n',
+    ),
+    Case(
+        'verify_sample_16_2_json',
+        ['verify', '--n', '16', '--k', '2', '--source', 'sample', '--samples', '20', '--seed', '0', '--format', 'json'],
+        0,
+        Digest('089b7a0c652255d99b91cc5a5bd048b1aca780cc3f2041ac870295d87146afda', 20),
+        'scanned=20 kfc=20 minimal=20 failures=0\n',
+    ),
+    Case(
+        'verify_sample_18_8_json',
+        ['verify', '--n', '18', '--k', '8', '--source', 'sample', '--samples', '2', '--seed', '0', '--format', 'json'],
+        0,
+        Digest('a229d2b599c9da23dca9d4aafb4cee0cf2dae53aa1ecd32c3aae0a7b8c8cd7cd', 2),
+        'scanned=2 kfc=2 minimal=2 failures=0\n',
     ),
     Case(
         'minimalize_dense_seed0',

@@ -51,7 +51,7 @@ EXIT_INTERNAL = 3
 
 DEFAULT_SAMPLE_P = 0.8
 # classes per bit-sliced batch of an exhaustive sweep, and results per batch
-# of records; an `all` --jobs task is one batch's edge lanes, never its graphs
+# of records of a per-graph source
 SWEEP_CHUNK = 4096
 
 
@@ -62,11 +62,6 @@ def _vertices(mask: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # verify machinery
 # ---------------------------------------------------------------------------
-
-
-def _kernel_worker(task: tuple[list[list[int]], int, int, int]) -> tuple[int, int]:
-    """The kfc and minimal lanes of one batch, from its edge lanes."""
-    return _batch_kernel(*task)
 
 
 def _sample_worker(task: tuple[int, float, int, int]) -> Graph | None:
@@ -94,33 +89,27 @@ def _lane_flags(lane: int, count: int) -> bytes:
     return format(lane, f"0{count}b")[::-1].encode("ascii").translate(_DIGIT_VALUES)
 
 
-def _kernel_batches(classes: tuple[Graph, ...], results: Iterable[tuple[int, int]]) -> Iterator[tuple[list[Graph], bytes]]:
-    """The k-factor-critical classes of each ``SWEEP_CHUNK`` batch, in order,
-    and their minimal flags, from the batch's kfc and minimal lanes."""
-    for base, (kfc, minimal) in zip(range(0, len(classes), SWEEP_CHUNK), results):
+def _kernel_batches(n: int, k: int) -> Iterator[tuple[list[Graph], bytes]]:
+    """The k-factor-critical order-n classes of each ``SWEEP_CHUNK`` batch, in
+    order, and their minimal flags, decided in this process by the kernel."""
+    classes = _representatives(n)
+    for base, lanes in zip(range(0, len(classes), SWEEP_CHUNK), _sweep_lanes(n)):
+        count = min(SWEEP_CHUNK, len(classes) - base)
+        kfc, minimal = _batch_kernel(lanes, n, k, count)
         if not kfc:  # most batches of a large k, and nothing to write
             continue
-        count = min(SWEEP_CHUNK, len(classes) - base)
         selected = _lane_flags(kfc, count)
         yield (list(compress(classes[base:base + count], selected)),
                bytes(compress(_lane_flags(minimal, count), selected)))
 
 
-def _chunks(results: Iterable, select) -> Iterator[tuple[list[Graph], bytes]]:
-    """``select`` applied to each run of ``SWEEP_CHUNK`` results."""
+def _graph_batches(results: Iterable[tuple[Graph | None, bool]]) -> Iterator[tuple[list[Graph], bytes]]:
+    """The graphs and minimal flags of each run of ``SWEEP_CHUNK`` per-graph
+    results, without the results whose graph is ``None``."""
     results = iter(results)
     while chunk := list(islice(results, SWEEP_CHUNK)):
-        yield select(chunk)
-
-
-def _sampled_batch(chunk: list[Graph | None]) -> tuple[list[Graph], bytes]:
-    graphs = [m for m in chunk if m is not None]
-    return graphs, b"\x01" * len(graphs)
-
-
-def _file_batch(chunk: list[tuple[Graph, tuple[bool, bool]]]) -> tuple[list[Graph], bytes]:
-    kept = [(g, m) for g, (is_kfc, m) in chunk if is_kfc]
-    return [g for g, _ in kept], bytes(m for _, m in kept)
+        kept = [(g, m) for g, m in chunk if g is not None]
+        yield [g for g, _ in kept], bytes(m for _, m in kept)
 
 
 @cache
@@ -196,17 +185,19 @@ def verify_scan(args: argparse.Namespace) -> int:
     from one packing of the batch's rows, the rest from cached templates.
     Only counts and the counterexamples' graph6 strings are kept, and for a
     ``file:`` source the bytes that were read, so that the run log hashes
-    exactly what was scanned. ``all`` is decided in batches of
-    ``SWEEP_CHUNK`` classes by the bit-sliced kernel, on edge lanes built at
-    an order's first sweep in the process and never written, and each is a
-    batch of records; ``file:`` and ``sample`` are decided one graph at a
-    time, and each ``SWEEP_CHUNK`` results are a batch of records. The
-    records are the same either way.
+    exactly what was scanned. ``all`` is decided in this process, in
+    batches of ``SWEEP_CHUNK`` classes by the bit-sliced kernel, on edge
+    lanes built at an order's first sweep in the process and never written,
+    and each is a batch of records; ``file:`` and ``sample`` are decided one
+    graph at a time, each result a graph or ``None`` and a minimal flag, and
+    each ``SWEEP_CHUNK`` results are a batch of records. The records are the
+    same either way.
 
-    ``--jobs`` > 1 starts at most ``os.cpu_count()`` workers; the output
-    does not depend on their number. Tasks carry all they need, so any start
-    method works; an ``all`` task is one batch's edge lanes, never its graphs.
-    Returns the exit code.
+    ``--jobs`` > 1 fans ``file:`` and ``sample`` out over at most
+    min(jobs, ``os.cpu_count()``, inputs) workers; the output does not
+    depend on their number. Tasks carry all they need, so any start method
+    works. ``all`` starts no worker: a whole order-9 kernel sweep takes less
+    time than starting one. Returns the exit code.
     """
     n, k, source, fmt, jobs = args.n, args.k, args.source, args.format, args.jobs
     if (n + k) % 2:
@@ -220,23 +211,16 @@ def verify_scan(args: argparse.Namespace) -> int:
     if not 0.0 <= args.p <= 1.0:
         raise GraphError(f"edge probability {args.p} outside [0, 1]")
 
-    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
-    data = None
+    data, worker = None, None
     if source == "sample":
         if not 1 <= n <= 64:  # random_graph's range, checked before the tsv header
             raise GraphError(f"vertex count {n} outside 1..64")
         scanned = args.samples
-        worker, chunk = _sample_worker, max(1, scanned // (workers * 8))
-        tasks: Iterable = ((n, args.p, k, args.seed + i) for i in range(scanned))
-        batches = lambda results: _chunks(results, _sampled_batch)
+        worker, tasks = _sample_worker, ((n, args.p, k, args.seed + i) for i in range(scanned))
+        # a sampled graph is minimal by construction
+        shaped = lambda results: zip(results, repeat(True))
     elif source == "all":
-        # _sweep_lanes refuses n > 9 before the first byte
-        lanes = _sweep_lanes(n)
-        classes = _representatives(n)
-        scanned = len(classes)
-        worker, chunk = _kernel_worker, 1
-        tasks = ((batch, n, k, min(SWEEP_CHUNK, scanned - i * SWEEP_CHUNK)) for i, batch in enumerate(lanes))
-        batches = lambda results: _kernel_batches(classes, results)
+        scanned = len(_representatives(n))  # refuses n > 9 before the first byte
     elif source.startswith("file:"):
         data, stream = _read_graph6_file(source[len("file:"):])
         graphs = list(stream)
@@ -244,12 +228,14 @@ def verify_scan(args: argparse.Namespace) -> int:
         if bad:
             raise GraphError(f"input file contains graphs of order {bad[0]}, expected {n}")
         scanned = len(graphs)
-        worker, chunk, tasks = partial(kfc_and_minimal, k=k), 256, graphs
-        batches = lambda results: _chunks(zip(graphs, results), _file_batch)
+        worker, tasks = partial(kfc_and_minimal, k=k), graphs
+        # a result is two flags: no graph is pickled back
+        shaped = lambda results: ((g if is_kfc else None, m) for g, (is_kfc, m) in zip(graphs, results))
     else:
         raise GraphError(f"unknown source {source!r}")
 
     pool = None
+    workers = min(jobs, os.cpu_count() or 1, scanned) if worker and jobs > 1 else 1
     if workers > 1:
         from multiprocessing import Pool  # about 0.6 MB of RSS; only --jobs > 1 needs it
 
@@ -262,8 +248,12 @@ def verify_scan(args: argparse.Namespace) -> int:
     with pool or nullcontext():
         if fmt == "tsv":
             out.write("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n")
-        results = pool.imap(worker, tasks, chunk) if pool else map(worker, tasks)
-        for graphs, flags in batches(results):
+        if worker is None:
+            batches = _kernel_batches(n, k)
+        else:
+            results = pool.imap(worker, tasks, max(1, scanned // (workers * 8))) if pool else map(worker, tasks)
+            batches = _graph_batches(shaped(results))
+        for graphs, flags in batches:
             text, failed = _records(graphs, flags, n, k, fmt)
             out.write(text)
             kfc += len(graphs)
@@ -495,7 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--p", type=float, default=DEFAULT_SAMPLE_P,
                     help="edge probability for sampled starts")
-    ve.add_argument("--jobs", type=int, default=1)
+    ve.add_argument("--jobs", type=int, default=1,
+                    help="workers for file: and sample; all is decided in this process")
     ve.add_argument("--format", choices=["human", "json", "tsv"], default="human")
     ve.add_argument("--log", default=None, help="append-only NDJSON run log path")
     ve.set_defaults(func="verify_scan")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcrit import (
-    Graph, Graph6Error, all_graphs, complete_graph, cycle_graph, graph6_lines, graph_from_edges, kfc_and_minimal,
+    Graph6Error, all_graphs, complete_graph, cycle_graph, graph6_lines, graph_from_edges, kfc_and_minimal,
     min_degree, parse_graph6, read_graph6_stream, to_graph6,
 )
 from factorcrit import cli, kfc_and_minimal_batch
@@ -378,23 +378,27 @@ class TestVerify:
         code, out, _ = single
         assert code == 0 and out
 
-    def test_exhaustive_tasks_carry_no_graph(self, capsys, monkeypatch):
-        # a task is a batch's edge lanes and its result two lanes: no Graph
-        # is pickled on the way to a worker or back
-        def refuse(self, protocol):
-            raise TypeError("a Graph was pickled")
+    def test_exhaustive_sweep_starts_no_worker(self, capsys, monkeypatch):
+        # `all` is decided in this process whatever --jobs says: it builds no
+        # pool and never asks the CPU count, and gives the --jobs 1 result
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool or the CPU count was asked for")
 
-        monkeypatch.setattr(Graph, "__reduce_ex__", refuse)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        args = ("verify", "--n", "7", "--k", "3", "--source", "all", "--format", "json")
-        single = run(capsys, *args, "--jobs", "1")
-        assert single[0] == 0 and single[1]
-        assert run(capsys, *args, "--jobs", "2") == single
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(os, "cpu_count", refuse)
+        for n, k in (("7", "3"), ("8", "2")):
+            for fmt in ("human", "json", "tsv"):
+                args = ("verify", "--n", n, "--k", k, "--source", "all", "--format", fmt)
+                single = run(capsys, *args, "--jobs", "1")
+                assert single[0] == 0 and single[1]
+                for jobs in ("2", "3"):
+                    assert run(capsys, *args, "--jobs", jobs) == single, (n, k, fmt, jobs)
 
-    def test_workers_at_most_cpu_count(self, capsys, monkeypatch):
-        # a large --jobs starts no more workers than there are CPUs; the
-        # pool is a fake that records its size and runs the tasks in-process
-        sizes = []
+    def test_workers_at_most_cpu_count(self, capsys, monkeypatch, tmp_path):
+        # a per-graph source starts min(jobs, CPUs, inputs) workers and hands
+        # each imap chunk inputs // (workers * 8) tasks; the pool is a fake
+        # that records its size and chunk and runs the tasks in-process
+        sizes, chunks = [], []
 
         class FakePool:
             def __init__(self, processes):
@@ -407,18 +411,29 @@ class TestVerify:
                 return None
 
             def imap(self, func, iterable, chunksize=1):
+                chunks.append(chunksize)
                 return map(func, iterable)
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        args = ("verify", "--n", "6", "--k", "2", "--source", "all", "--format", "json")
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(graph6_lines(list(all_graphs(6)), 6))
+        args = ("verify", "--n", "6", "--k", "2", "--source", f"file:{path}", "--format", "json")
         single = run(capsys, *args, "--jobs", "1")
         for jobs in ("3", "100000"):
             assert run(capsys, *args, "--jobs", jobs) == single, jobs
-        assert sizes == [3, 4]
+        assert sizes == [3, 4] and chunks == [156 // 24, 156 // 32]
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
         assert run(capsys, *args, "--jobs", "100000") == single
         assert sizes == [3, 4]
+        # one sampled start needs no pool, and two start two workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        sample = ("verify", "--n", "8", "--k", "2", "--source", "sample", "--seed", "5", "--format", "json")
+        for samples, want in (("1", [3, 4]), ("2", [3, 4, 2])):
+            single = run(capsys, *sample, "--samples", samples, "--jobs", "1")
+            assert run(capsys, *sample, "--samples", samples, "--jobs", "3") == single, samples
+            assert sizes == want, samples
+        assert chunks == [6, 4, 1]
 
     @pytest.mark.parametrize("source", ["all", "sample"])
     def test_one_job_asks_no_cpu_count(self, capsys, monkeypatch, source):

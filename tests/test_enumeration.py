@@ -303,7 +303,7 @@ class TestAllGraphs:
                 lines = out.getvalue().splitlines()
                 assert code == 0 and err.getvalue() == ""
                 assert lines.pop() == f"scanned=274668 kfc={kfc} minimal={minimal} failures=0"
-                # the same bytes from --jobs 2, whose tasks ship the batches' edge lanes
+                # the same bytes from --jobs 2, which decides `all` in this process too
                 out2, err2 = io.StringIO(), io.StringIO()
                 with redirect_stdout(out2), redirect_stderr(err2):
                     code2 = main(["verify", "--n", "9", "--k", str(k), "--source", "all", "--jobs", "2"])

@@ -321,12 +321,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = is_minimal_kfc(g, k)
     ge = gallai_edmonds(g)
     conn_ok = check_connectivity_properties(g, k) if report.is_kfc and k >= 1 else None
+    if conn_ok is False:  # theorems about k-FC graphs: the decider is wrong
+        raise RuntimeError(f"{to_graph6(g)} was decided {k}-factor-critical but fails its connectivity consequences")
     dmin = min_degree(g)
-    verdict = "pass"
-    if report.is_kfc and report.is_minimal and dmin != k + 1:
-        verdict = "fail"
-    if conn_ok is False:
-        verdict = "fail"
+    verdict = "fail" if report.is_kfc and report.is_minimal and dmin != k + 1 else "pass"
     payload = {
         "graph6": to_graph6(g),
         "n": g.n,

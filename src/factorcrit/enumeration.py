@@ -7,13 +7,12 @@ subset of its vertices, and keeps a child exactly when the parent it was
 built from is its canonical parent: no one-vertex deletion of the child has
 a smaller (degree sequence, canonical form) key than that parent.
 
-Children are bucketed by one round of colour refinement. Inside a bucket,
-isomorphic children are told apart by a class key that is complete but only
-tested for equality: the stable colour refinement, with colours named by
-their sorted signatures, then the minimal columns over the orderings that
-place the colour cells in name order. ``all_graphs`` states the resulting
-order, which neither the filters applied before dedupe nor the choice of
-dedupe key change."""
+Children are bucketed by one round of colour refinement, their sorted
+vertex codes. Inside a bucket, isomorphic children are told apart by a
+class key that is complete but only tested for equality: the minimal
+columns over the orderings that place the cells of equal code in ascending
+code order. ``all_graphs`` states the resulting order, which neither the
+filters applied before dedupe nor the choice of dedupe key change."""
 
 from __future__ import annotations
 
@@ -202,50 +201,21 @@ def _attachment_codes(n: int, padj: tuple[int, ...]) -> Callable[[int], list[int
     return codes
 
 
-def _stable_cells(adj: tuple[int, ...], colour: list[int]) -> list[int]:
-    """Cells of the stable colour refinement that starts from ``colour``, as
-    vertex masks in the order of their colour names.
-
-    Each round renames a vertex by the rank of its signature (own colour,
-    multiset of neighbour colours) among the sorted signatures, so the names
-    do not depend on the labelling when the starting colours do not.
-    """
-    n = len(adj)
-    shift = 4 * n
-    names = sorted(set(colour))
-    while True:
-        rank = {c: i for i, c in enumerate(names)}
-        colour = [rank[c] for c in colour]
-        if len(names) == n:
-            break
-        signature = []
-        for v, row in enumerate(adj):
-            sig = colour[v] << shift
-            while row:
-                b = row & -row
-                row ^= b
-                sig += 1 << 4 * colour[b.bit_length() - 1]
-            signature.append(sig)
-        finer = sorted(set(signature))
-        if len(finer) == len(names):
-            break
-        colour, names = signature, finer
-    cells = [0] * len(names)
-    for v, c in enumerate(colour):
-        cells[c] |= 1 << v
-    return cells
-
-
 def _class_key(adj: tuple[int, ...], codes: list[int]) -> tuple[int, ...]:
     """A complete isomorphism invariant of graphs of one order: the minimal
-    columns over the orderings that place the stable cells in name order.
+    columns over the orderings that place the cells of equal vertex code in
+    ascending code order.
 
-    Equal columns make the two orderings an isomorphism. Isomorphic graphs
-    have the same named cells, hence the same orderings up to relabeling and
-    the same minimum. Twins share a stable colour, so the twin skip holds.
-    Only equality is meaningful; ``_canonical_bytes`` gives the order.
+    Equal columns make the two orderings an isomorphism. A code depends only
+    on a vertex's degree and its neighbours' degrees, so isomorphic graphs
+    have the same cells in the same order, hence the same orderings up to
+    relabeling and the same minimum. Twins share a code, so the twin skip
+    holds. Only equality is meaningful; ``_canonical_bytes`` gives the order.
     """
-    return tuple(_minimal_columns(len(adj), adj, cells=_stable_cells(adj, codes)))
+    cells: dict[int, int] = {}
+    for v, code in enumerate(codes):
+        cells[code] = cells.get(code, 0) | 1 << v
+    return tuple(_minimal_columns(len(adj), adj, cells=[cells[c] for c in sorted(cells)]))
 
 
 def _parent_is_canonical(
@@ -257,14 +227,13 @@ def _parent_is_canonical(
     canonical form) key; ``below(rows)`` tells whether a deletion with the
     parent's degree sequence has a smaller canonical form. Deleting n - 1,
     or a twin of it, gives the parent back, so it is not tried; a deletion
-    with a larger change than that one has a smaller degree sequence."""
+    with a larger change than that one has a smaller degree sequence, and
+    ``_attachment_codes`` has already refused every child with such a
+    deletion, so only the deletions with the same change are tried."""
     last = n - 1
     own = codes[last] >> 4
     for v in range(last):
-        change = codes[v] >> 4
-        if change > own:
-            return False
-        if change == own:
+        if codes[v] >> 4 == own:
             pair = 1 << v | 1 << last
             if child[v] & ~pair == child[last] & ~pair:
                 continue

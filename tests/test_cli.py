@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -135,6 +136,24 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: line 1: non-ASCII graph6 input: ")
 
+    def test_failed_connectivity_consequences_exit_3(self, capsys, monkeypatch):
+        # the consequences are theorems about k-FC graphs: failing one means the decider is wrong
+        monkeypatch.setattr(cli, "check_connectivity_properties", lambda g, k: False)
+        code, out, err = run(capsys, "analyze", "--graph", K4, "--k", "2")
+        assert (code, out) == (3, "")
+        assert err == "internal error: C~ was decided 2-factor-critical but fails its connectivity consequences\n"
+
+    def test_minimal_kfc_off_the_degree_bound_fails(self, capsys, monkeypatch):
+        # a report calling K6 minimal 2-FC: minimum degree 5, not 3, is a counterexample
+        real = cli.is_minimal_kfc
+        monkeypatch.setattr(
+            cli, "is_minimal_kfc", lambda g, k: dataclasses.replace(real(g, k), is_minimal=True, deletable_edges=())
+        )
+        code, out, _ = run(capsys, "analyze", "--graph", K6, "--k", "2", "--format", "json")
+        rec = json.loads(out)
+        assert code == 1
+        assert (rec["is_minimal"], rec["min_degree"], rec["connectivity_ok"], rec["verdict"]) == (True, 5, True, "fail")
+
 
 class TestClassify:
     def test_k3_k7(self, capsys):
@@ -239,6 +258,14 @@ class TestVerify:
     def test_parity_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "5", "--k", "2", "--source", "all")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "k, source, error",
+        [("6", "all", "k=6 outside 0..3"), ("2", "bogus", "unknown source 'bogus'")],
+    )
+    def test_bad_k_or_source_exit_2(self, capsys, k, source, error):
+        code, out, err = run(capsys, "verify", "--n", "4", "--k", k, "--source", source)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
     def test_oversize_exit_2(self, capsys):
         # exhaustive generation refuses n = 10 before the first byte, even the tsv header
@@ -695,6 +722,10 @@ class TestCertify:
     def test_k6_exit_1(self, capsys):
         code, _, err = run(capsys, "certify", "--graph", K6, "--k", "2")
         assert code == 1 and "certificate-free" in err
+
+    def test_not_kfc_exit_1(self, capsys):
+        code, out, err = run(capsys, "certify", "--graph", C6, "--k", "2")
+        assert (code, out, err) == (1, "", "input graph is not k-factor-critical\n")
 
 
 # a call that argparse rejects with exit 2

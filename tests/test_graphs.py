@@ -115,10 +115,9 @@ class TestGraph6:
             parse_graph6(bad)
 
     def test_rejects_oversize(self):
-        # 65 vertices via the extended prefix
-        line = "~??" + chr(63 + 65)
-        with pytest.raises(Graph6Error):
-            parse_graph6(line)
+        # 65 vertices via the extended prefix: 0 << 12 | 1 << 6 | 1
+        with pytest.raises(Graph6Error, match="graph order 65 exceeds 64"):
+            parse_graph6("~?@@")
 
     def test_rejects_nonzero_padding(self):
         # 2-vertex non-edge graph has 1 payload bit; flip a padding bit

@@ -71,7 +71,6 @@ from .configurations import (
     ConfigSignature,
     DegreeHypothesisError,
     EdgePlacement,
-    HostBuildError,
     IntersectionBounds,
     build_instance,
     check_intersection_bounds,

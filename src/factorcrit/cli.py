@@ -266,13 +266,14 @@ def verify_scan(args: argparse.Namespace) -> int:
         print(f"counterexample: {g6}", file=sys.stderr)
     if args.log:
         import hashlib  # loads OpenSSL (about 3.7 MB of RSS); only the run log needs it
+        import shlex  # only the run log needs a shell-quoted command line
         from datetime import datetime, timezone  # only the run log needs a clock
 
         if data is None:  # not a file: hash what defines the scanned graphs
             data = f"{source}:n={n}:k={k}:samples={args.samples}:p={args.p}:seed={args.seed}".encode()
         entry = {
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "command": " ".join(["factorcrit", *args.argv]),
+            "command": shlex.join(["factorcrit", *args.argv]),
             "input_digest": hashlib.sha256(data).hexdigest(),
             "seed": args.seed,
             "counts": {"scanned": scanned, "kfc": kfc, "minimal": minimal},

@@ -214,10 +214,6 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
 # ---------------------------------------------------------------------------
 
 
-class HostBuildError(ValueError):
-    """The requested host cannot meet the minimum-degree guarantee."""
-
-
 @dataclass(frozen=True)
 class BuiltInstance:
     graph: Graph
@@ -225,35 +221,17 @@ class BuiltInstance:
     s_e: VertexSet
 
 
-def _component_edges(block: range, style: str) -> list[Edge]:
-    if len(block) == 1:
-        return []
-    if style == "clique":
-        return [(a, b) for i, a in enumerate(block) for b in block[i + 1:]]
-    if style == "cycle":
-        return [(block[i], block[(i + 1) % len(block)]) for i in range(len(block))]
-    raise GraphError(f"unknown component style {style!r}")
-
-
-def build_instance(
-    label: ConfigLabel,
-    n: int,
-    component_style: str = "clique",
-    x_attachment: str = "complete",
-) -> BuiltInstance:
+def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
     """Embed a configuration into a host of order n >= 12.
 
     Vertex layout: u's component first (u = 0), then v's component, then the
     leftover components by descending size, then X, then the n - 10 padding
-    vertices S_e. Components are cliques (or odd cycles), S_e is complete to
-    everything, and X is joined to every core vertex (``complete``) or only
-    as forced by degree and matchability (``minimal``). Hosts that end up
-    with minimum degree below n - 8 are rejected.
+    vertices S_e. Components and X are cliques, X is joined to every core
+    vertex and S_e is complete to everything, so every degree is at least
+    n - 8.
     """
     if n < 12:
         raise GraphError(f"host order {n} below 12")
-    if x_attachment not in ("complete", "minimal"):
-        raise GraphError(f"unknown attachment mode {x_attachment!r}")
     sig = _TABLE[label][0]
     u_size, v_size = _ENDS[label]
     leftover_sizes = list(sig.component_sizes)
@@ -270,55 +248,33 @@ def build_instance(
 
     u, v = u_block[0], v_block[0]
     edges: list[Edge] = [(u, v)]
-    for block in [u_block, v_block, *leftovers]:
-        edges.extend(_component_edges(block, component_style))
-    edges.extend(_component_edges(x_block, "clique"))
+    for block in [u_block, v_block, *leftovers, x_block]:
+        edges.extend((a, b) for i, a in enumerate(block) for b in block[i + 1:])
+    edges.extend((x, w) for x in x_block for w in range(x_block.start))
     for s in s_block:
         edges.extend((s, w) for w in range(s))
-
-    core = list(range(10))
-    if x_attachment == "complete":
-        edges.extend((x, w) for x in x_block for w in core if w not in x_block)
-    else:
-        # one X vertex per leftover component (gives the matching of
-        # core + e), a second X edge on leftover trivials, and one X edge on
-        # each trivial endpoint (degree 2 inside core + e)
-        for i, block in enumerate(leftovers):
-            edges.append((x_block[i], block[0]))
-            if len(block) == 1:
-                edges.append((x_block[(i + 1) % len(x_block)], block[0]))
-        if x_block:
-            if u_size == 1:
-                edges.append((x_block[0], u))
-            if v_size == 1:
-                edges.append((x_block[0], v))
-
     host = graph_from_edges(n, edges)
 
     if min_degree(host) < n - 8:
-        raise HostBuildError(
-            f"{label.value} with {x_attachment!r} attachment at n={n} has "
-            f"minimum degree {min_degree(host)} < {n - 8}"
-        )
-
-    s_e = mask_of(s_block)
+        raise RuntimeError(f"built host has minimum degree {min_degree(host)} < {n - 8}")
     try:
-        _check_preconditions(core_graph(host, (u, v), s_e), (u, v))
+        _check_preconditions(core_graph(host, (u, v)), (u, v))
     except ClassificationError as exc:
         raise RuntimeError(f"built core fails precondition {exc.reason}: {exc}") from None
-    return BuiltInstance(graph=host, edge=(u, v), s_e=s_e)
+    return BuiltInstance(graph=host, edge=(u, v), s_e=mask_of(s_block))
 
 
-def core_graph(host: Graph, e: Edge, s_e: VertexSet) -> Graph:
-    """The order-10 deficient core: host minus e minus the padding set.
+def core_graph(host: Graph, e: Edge) -> Graph:
+    """The order-10 deficient core: host minus e minus S_e, which is every
+    vertex from 10 up.
 
-    Valid for hosts laid out by :func:`build_instance` (padding occupies the
-    top indices, so core labels are unchanged). Raises :class:`GraphError`
-    when the host lacks e.
+    Valid for hosts laid out by :func:`build_instance` (S_e occupies the top
+    indices, so core labels are unchanged). Raises :class:`GraphError` when
+    the host has order below 10 or lacks e.
     """
-    if s_e != ((1 << host.n) - 1) ^ ((1 << 10) - 1):
-        raise GraphError("padding set must occupy the top host indices")
-    return delete_edge(delete_vertices(host, s_e), e)
+    if host.n < 10:
+        raise GraphError(f"host order {host.n} below 10")
+    return delete_edge(delete_vertices(host, host.vertex_mask >> 10 << 10), e)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +301,12 @@ class DegreeHypothesisError(ValueError):
     """The host violates the minimum-degree hypothesis the bounds assume."""
 
 
-def check_intersection_bounds(host: Graph, e: Edge, s_e: VertexSet, label: ConfigLabel) -> bool:
+def check_intersection_bounds(host: Graph, e: Edge, label: ConfigLabel) -> bool:
     """Whether |N̄[u] ∩ N̄[v]| in the host falls inside the label's bounds.
 
     Only valid under the standing hypothesis delta(host) >= n - 8; callers
-    vouch that host - e - s_e classifies as ``label``.
+    vouch that the core of host and e classifies as ``label``.
     """
-    del s_e  # part of the instance contract, not needed for the count
     n = host.n
     if min_degree(host) < n - 8:
         raise DegreeHypothesisError(

@@ -243,7 +243,7 @@ def test_criterion_06_label_round_trip():
         hit = False
         for n in HOST_ORDERS:
             inst = build_instance(label, n)
-            core = core_graph(inst.graph, inst.edge, inst.s_e)
+            core = core_graph(inst.graph, inst.edge)
             if label in classify(core, inst.edge).labels():
                 hit = True
         recovered.append(hit)
@@ -257,7 +257,7 @@ def test_criterion_07_intersection_bounds():
     for label in ConfigLabel:
         for n in HOST_ORDERS:
             inst = build_instance(label, n)
-            if not check_intersection_bounds(inst.graph, inst.edge, inst.s_e, label):
+            if not check_intersection_bounds(inst.graph, inst.edge, label):
                 problems.append(f"{label.value}@{n}")
     for label, expected in ((ConfigLabel.C3, 7), (ConfigLabel.C5, 5)):
         for n in HOST_ORDERS:

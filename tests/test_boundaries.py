@@ -9,10 +9,9 @@ from __future__ import annotations
 import pytest
 
 from factorcrit import (
-    ConfigLabel, Graph, Graph6Error, GraphError, add_edge, all_graphs, build_instance,
-    check_connectivity_properties, classify, complete_graph, core_graph, cycle_graph,
-    find_barrier_witnesses, is_k_connected, is_k_edge_connected, min_degree, odd_components,
-    parse_graph6, random_graph,
+    Graph, Graph6Error, GraphError, add_edge, all_graphs, check_connectivity_properties, classify,
+    complete_graph, core_graph, cycle_graph, find_barrier_witnesses, is_k_connected,
+    is_k_edge_connected, min_degree, odd_components, parse_graph6, random_graph,
 )
 from factorcrit.graphs import normalize_edge
 from conftest import disjoint_cliques
@@ -40,16 +39,8 @@ CHECKS = {
     "classify edge self-loop": (
         lambda: classify(disjoint_cliques([3, 7]), (3, 3)), GraphError, r"invalid designated edge \(3,3\)"
     ),
-    "component style": (
-        lambda: build_instance(ConfigLabel.C1, 12, component_style="star"), GraphError,
-        r"unknown component style 'star'",
-    ),
-    "attachment mode": (
-        lambda: build_instance(ConfigLabel.C1, 12, x_attachment="none"), GraphError,
-        r"unknown attachment mode 'none'",
-    ),
-    "core_graph padding": (
-        lambda: core_graph(complete_graph(12), (0, 1), 1), GraphError, r"padding set must occupy"
+    "core_graph host order 9": (
+        lambda: core_graph(complete_graph(9), (0, 1)), GraphError, r"host order 9 below 10"
     ),
     "all_graphs(0)": (lambda: all_graphs(0), GraphError, r"generation starts at order 1"),
     "random_graph order 0": (lambda: random_graph(0, 0.5, 0), GraphError, r"vertex count 0 outside 1\.\.64"),

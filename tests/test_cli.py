@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 
@@ -186,6 +187,14 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--graph", K3K7, "--edge", "0,3")
         assert code == 3 and out == ""
         assert err == "internal error: no qualifying barrier witness found despite preconditions\n"
+
+    def test_missing_table_row_exit_3(self, capsys, monkeypatch):
+        from factorcrit import configurations
+
+        monkeypatch.setattr(configurations, "_BY_SIGNATURE", {})
+        code, out, err = run(capsys, "classify", "--graph", K3K7, "--edge", "0,3")
+        assert code == 3 and out == ""
+        assert err == "internal error: witness (0, (3, 7), endpoint sizes (3, 7)) missing from the table\n"
 
     def test_bad_edge_syntax_exit_2(self, capsys):
         code, _, _ = run(capsys, "classify", "--graph", K3K7, "--edge", "0:3")
@@ -651,6 +660,16 @@ class TestVerify:
         entry = json.loads(log.read_text())
         assert entry["input_digest"] == hashlib.sha256(data).hexdigest()
         assert entry["counts"] == {"scanned": 3, "kfc": 2, "minimal": 0}
+
+    def test_run_log_command_reruns(self, capsys, tmp_path):
+        # a file: path with a space is quoted, so the logged command splits back
+        path = tmp_path / "two words.g6"
+        path.write_text(K6 + "\n")
+        log = tmp_path / "runs.ndjson"
+        args = ["verify", "--n", "6", "--k", "2", "--source", f"file:{path}", "--log", str(log)]
+        assert run(capsys, *args)[0] == 0
+        entry = json.loads(log.read_text())
+        assert shlex.split(entry["command"]) == ["factorcrit", *args]
 
 
 @st.composite

@@ -10,7 +10,6 @@ from factorcrit import (
     DegreeHypothesisError,
     EdgePlacement,
     GraphError,
-    HostBuildError,
     add_edge,
     bits,
     build_instance,
@@ -30,6 +29,7 @@ from factorcrit import (
     mask_of,
     min_degree,
     odd_components,
+    parse_graph6,
     random_graph,
     signature_table,
 )
@@ -38,10 +38,30 @@ from conftest import disjoint_cliques, petersen
 
 ALL_LABELS = list(ConfigLabel)
 
-# SHA-256 of every host build_instance lays out, one line per (label, n,
-# style, attachment) in loop order: repr((adj, edge, s_e)), or the message of
-# the HostBuildError raised instead
-HOSTS_SHA256 = "c35e945fb548b32a086b7dda8265bd0cbea62b470d7ceca79b90e3b6889c7d86"
+# SHA-256 of every host build_instance lays out, one line per (label, n) in
+# loop order: repr((adj, edge, s_e))
+HOSTS_SHA256 = "89307daf3a1bbcbe4c823683c4b7c6c8d37a8888dbe57333c1a606e974abc8be"
+
+# deficient cores (graph6, designated edge, label) of hosts shaped otherwise
+# than build_instance's: odd-cycle components, X joined to the core only as
+# degree and matchability force, or both; C6 has no host of the second kind,
+# and as a 3-cycle is a triangle, nine cores equal build_instance's own
+OTHER_SHAPE_CORES = (
+    ("IwCGGC@CG", (0, 3), "C1"), ("IwCWw{^Fw", (0, 3), "C1"),
+    ("Ihc?GC@@G", (0, 5), "C2"), ("I~{?GKF@w", (0, 5), "C2"),
+    ("I@CGGC`~w", (0, 1), "C3"), ("I@Kxx{~w?", (0, 1), "C3"), ("I@CGGC`w?", (0, 1), "C3"),
+    ("IHDG?CB~w", (0, 1), "C4"), ("IJ\\w?CB__", (0, 1), "C4"), ("IHDG?CB__", (0, 1), "C4"),
+    ("IJ?GGCH~w", (0, 1), "C5"), ("IJ?GW[Na?", (0, 1), "C5"), ("IJ?GGCHa?", (0, 1), "C5"),
+    ("IwCW?CB~w", (0, 3), "C6"),
+    ("IHDG?B~~w", (0, 1), "C7"), ("IJ\\w?AB?w", (0, 1), "C7"), ("IHDG?AB?w", (0, 1), "C7"),
+    ("I@CHGB~~w", (0, 1), "C8"), ("I@KxwB`?W", (0, 1), "C8"), ("I@CHGB`?W", (0, 1), "C8"),
+    ("IwCW?B~~w", (0, 3), "C9"), ("IwCW??B?w", (0, 3), "C9"),
+    ("IJ?GWB~~w", (0, 1), "C10"), ("IJ?GWAH?W", (0, 1), "C10"),
+    ("I@K?GN~~w", (0, 1), "C11"), ("I@K?GN_@G", (0, 1), "C11"),
+    ("I@K?F~~~w", (0, 1), "C12"), ("I@K?FCD@w", (0, 1), "C12"),
+    ("IJ??F~~~w", (0, 1), "C13"), ("IJ??CSL@w", (0, 1), "C13"),
+    ("I??F~~~~w", (0, 1), "C14"), ("I??FHcZBw", (0, 1), "C14"),
+)
 
 
 def two_cliques_with_gap(a: int, b: int):
@@ -153,6 +173,11 @@ class TestClassify:
                         assert entry.u_component & (1 << u)
                         assert entry.v_component & (1 << v)
 
+    def test_other_host_shapes(self):
+        assert len(set(OTHER_SHAPE_CORES)) == 32
+        for g6, e, label in OTHER_SHAPE_CORES:
+            assert ConfigLabel(label) in classify(parse_graph6(g6), e).labels()
+
     def test_entries_are_every_witness(self):
         # the preconditions force deficiency 2, so every witness with
         # |X| <= 4 qualifies: the entries are all of them, in search order
@@ -180,26 +205,10 @@ class TestBuildInstance:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_round_trip_complete(self, label):
         inst = build_instance(label, 12)
-        core = core_graph(inst.graph, inst.edge, inst.s_e)
+        core = core_graph(inst.graph, inst.edge)
         assert label in classify(core, inst.edge).labels()
         assert min_degree(inst.graph) >= 12 - 8
         assert deficiency(core) == 2
-
-    @pytest.mark.parametrize("label", [ConfigLabel.C1, ConfigLabel.C5, ConfigLabel.C9, ConfigLabel.C14])
-    def test_round_trip_cycle_components(self, label):
-        inst = build_instance(label, 14, component_style="cycle")
-        core = core_graph(inst.graph, inst.edge, inst.s_e)
-        assert label in classify(core, inst.edge).labels()
-
-    def test_minimal_attachment(self):
-        for label in ALL_LABELS:
-            if label is ConfigLabel.C6:
-                with pytest.raises(HostBuildError):
-                    build_instance(label, 12, x_attachment="minimal")
-                continue
-            inst = build_instance(label, 12, x_attachment="minimal")
-            core = core_graph(inst.graph, inst.edge, inst.s_e)
-            assert label in classify(core, inst.edge).labels()
 
     def test_padding_layout(self):
         inst = build_instance(ConfigLabel.C3, 14)
@@ -212,25 +221,24 @@ class TestBuildInstance:
         u, v = inst.edge
         without = delete_edge(inst.graph, inst.edge)
         with pytest.raises(GraphError, match=f"edge \\({u},{v}\\) not present"):
-            core_graph(without, inst.edge, inst.s_e)
+            core_graph(without, inst.edge)
 
     def test_host_digest(self):
         lines = []
         for label in ALL_LABELS:
             for n in (12, 14, 16):
-                for style in ("clique", "cycle"):
-                    for attachment in ("complete", "minimal"):
-                        try:
-                            inst = build_instance(label, n, style, attachment)
-                        except HostBuildError as exc:
-                            lines.append(str(exc))
-                            continue
-                        lines.append(repr((inst.graph.adj, inst.edge, inst.s_e)))
+                inst = build_instance(label, n)
+                lines.append(repr((inst.graph.adj, inst.edge, inst.s_e)))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == HOSTS_SHA256
 
     def test_rejects_small_host(self):
         with pytest.raises(GraphError):
             build_instance(ConfigLabel.C1, 11)
+
+    def test_failed_degree_check_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(configurations, "min_degree", lambda g: 0)
+        with pytest.raises(RuntimeError, match="minimum degree 0 < 4"):
+            build_instance(ConfigLabel.C1, 12)
 
     def test_failed_self_check_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(configurations, "has_perfect_matching", lambda g: True)
@@ -254,7 +262,7 @@ class TestIntersectionBounds:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_built_hosts_conform(self, label):
         inst = build_instance(label, 12)
-        assert check_intersection_bounds(inst.graph, inst.edge, inst.s_e, label)
+        assert check_intersection_bounds(inst.graph, inst.edge, label)
 
     def test_exact_values(self):
         for label, exact in ((ConfigLabel.C3, 7), (ConfigLabel.C5, 5)):
@@ -270,4 +278,4 @@ class TestIntersectionBounds:
         for w in list(bits(weak.adj[target]))[:5]:
             weak = delete_edge(weak, (min(target, w), max(target, w)))
         with pytest.raises(DegreeHypothesisError):
-            check_intersection_bounds(weak, inst.edge, inst.s_e, ConfigLabel.C1)
+            check_intersection_bounds(weak, inst.edge, ConfigLabel.C1)

@@ -21,6 +21,7 @@ from factorcrit import (
     delete_vertices,
     graph_from_edges,
     is_k_connected,
+    is_k_edge_connected,
     is_k_factor_critical,
     is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
@@ -670,6 +671,17 @@ class TestConnectivityProperties:
     def test_parity_precondition(self):
         with pytest.raises(GraphError):
             check_connectivity_properties(cycle_graph(6), 1)
+
+    def test_each_failing_consequence(self):
+        # K1 + K2 is not connected; P5 is connected but has a bridge; K_{3,5}
+        # is 3-connected and 3-edge-connected but has no perfect matching
+        path = graph_from_edges(5, [(i, i + 1) for i in range(4)])
+        k35 = graph_from_edges(8, [(a, b) for a in range(3) for b in range(3, 8)])
+        assert is_k_connected(path, 1)
+        assert is_k_connected(k35, 3) and is_k_edge_connected(k35, 3)
+        assert not check_connectivity_properties(disjoint_cliques([1, 2]), 1)
+        assert not check_connectivity_properties(path, 1)
+        assert not check_connectivity_properties(k35, 2)
 
 
 class TestSplitMix64:

@@ -73,12 +73,13 @@ def _sample_worker(task: tuple[int, float, int, int]) -> Graph | None:
 
 
 @cache
-def _sweep_lanes(n: int) -> tuple[list[list[int]], ...]:
-    """The edge lanes of each ``SWEEP_CHUNK`` slice of the order-n classes,
+def _sweep_batches(n: int) -> tuple[tuple[tuple[Graph, ...], list[list[int]]], ...]:
+    """Each ``SWEEP_CHUNK`` slice of the order-n classes with its edge lanes,
     built at the order's first sweep and shared by every later one. The
     kernel only reads them."""
     graphs = _representatives(n)
-    return tuple(_edge_lanes(graphs[i:i + SWEEP_CHUNK], n) for i in range(0, len(graphs), SWEEP_CHUNK))
+    chunks = [graphs[i:i + SWEEP_CHUNK] for i in range(0, len(graphs), SWEEP_CHUNK)]
+    return tuple((chunk, _edge_lanes(chunk, n)) for chunk in chunks)
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -92,15 +93,12 @@ def _lane_flags(lane: int, count: int) -> bytes:
 def _kernel_batches(n: int, k: int) -> Iterator[tuple[list[Graph], bytes]]:
     """The k-factor-critical order-n classes of each ``SWEEP_CHUNK`` batch, in
     order, and their minimal flags, decided in this process by the kernel."""
-    classes = _representatives(n)
-    for base, lanes in zip(range(0, len(classes), SWEEP_CHUNK), _sweep_lanes(n)):
-        count = min(SWEEP_CHUNK, len(classes) - base)
-        kfc, minimal = _batch_kernel(lanes, n, k, count)
+    for classes, lanes in _sweep_batches(n):
+        kfc, minimal = _batch_kernel(lanes, n, k, len(classes))
         if not kfc:  # most batches of a large k, and nothing to write
             continue
-        selected = _lane_flags(kfc, count)
-        yield (list(compress(classes[base:base + count], selected)),
-               bytes(compress(_lane_flags(minimal, count), selected)))
+        selected = _lane_flags(kfc, len(classes))
+        yield list(compress(classes, selected)), bytes(compress(_lane_flags(minimal, len(classes)), selected))
 
 
 def _graph_batches(results: Iterable[tuple[Graph | None, bool]]) -> Iterator[tuple[list[Graph], bytes]]:

@@ -268,7 +268,8 @@ _BIT_CHARS = [bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8)]
 
 
 def _edge_lanes(graphs: Sequence[Graph], n: int) -> list[list[int]]:
-    """``lanes[u][v]`` for u < v: bit i is set when ``graphs[i]`` has the edge uv.
+    """Symmetric edge lanes, 0 on the diagonal: bit i of ``lanes[u][v]`` and of
+    ``lanes[v][u]`` is set when ``graphs[i]`` has the edge uv.
 
     The rows are packed by :func:`_pack_rows`, last graph first, so that
     graph i lands at bit i of a base-2 parse. Byte j of row v, taken from
@@ -282,7 +283,7 @@ def _edge_lanes(graphs: Sequence[Graph], n: int) -> list[list[int]]:
     for v in range(1, n):
         planes = [raw[width * v + j::width * n] for j in range(width)]
         for u in range(v):
-            lanes[u][v] = int(planes[u >> 3].translate(_BIT_CHARS[u & 7]), 2)
+            lanes[u][v] = lanes[v][u] = int(planes[u >> 3].translate(_BIT_CHARS[u & 7]), 2)
     return lanes
 
 
@@ -340,7 +341,7 @@ def _batch_kernel(lanes: list[list[int]], n: int, k: int, count: int) -> tuple[i
             return 0, 0
     deletable = 0
     for a in range(n - 1):
-        col = [row[a] for row in lanes[:a]] + list(lanes[a][a:])  # lane(a, w) for every w
+        col = lanes[a]
         for b in range(a + 1, n):
             todo = col[b] & kfc & ~deletable
             if not todo:

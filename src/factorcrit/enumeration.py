@@ -25,8 +25,8 @@ from .graphs import (
     Graph6Error,
     GraphError,
     _delete_vertex_rows,
-    _encode_columns,
     _trusted,
+    graph6_lines,
     parse_graph6,
 )
 
@@ -122,7 +122,15 @@ def _minimal_columns(
 
 
 def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
-    return _encode_columns(n, _minimal_columns(n, adj))
+    """graph6 line of the relabelling whose columns are minimal. Column j
+    holds x(0, j) ... x(j - 1, j), x(0, j) in its highest bit."""
+    rows = [0] * n
+    for j, col in enumerate(_minimal_columns(n, adj), start=1):
+        for i in range(j):
+            if col >> (j - 1 - i) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return graph6_lines((_trusted(n, tuple(rows)),), n)[:-1]
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

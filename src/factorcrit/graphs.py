@@ -242,7 +242,7 @@ def _graph6_text(n: int, payloads: bytes, count: int) -> bytes:
     digits = binascii.b2a_base64(payloads, newline=False).translate(_TO_GRAPH6)
     per_line = _payload_bytes(n) // 3 * 4
     used = (n * (n - 1) // 2 + 5) // 6
-    if count == 1:  # every canonical form is one line: concatenation is cheaper
+    if count == 1:  # to_graph6 and every one-record batch: concatenation is cheaper
         return prefix + digits[:used] + b"\n"
     width = len(prefix) + used + 1
     out = bytearray(width * count)
@@ -252,19 +252,6 @@ def _graph6_text(n: int, payloads: bytes, count: int) -> bytes:
         out[len(prefix) + d::width] = digits[d::per_line]
     out[width - 1::width] = b"\n" * count
     return bytes(out)
-
-
-def _encode_columns(n: int, cols: list[int]) -> bytes:
-    """graph6 line for the upper-triangle columns 1..n-1.
-
-    Column j holds x(0,j), ..., x(j-1,j) in j bits, x(0,j) in the highest.
-    """
-    acc = 0
-    for j, col in enumerate(cols, start=1):
-        acc = acc << j | col
-    nbits = n * (n - 1) // 2
-    nbytes = _payload_bytes(n)
-    return _graph6_text(n, (acc << (8 * nbytes - nbits)).to_bytes(nbytes, "big"), 1)[:-1]
 
 
 def _row_bytes(n: int) -> int:

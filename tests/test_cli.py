@@ -22,6 +22,7 @@ from factorcrit import (
 from factorcrit import cli, kfc_and_minimal_batch
 from factorcrit.cli import main
 from factorcrit.criticality import _batch_kernel, _edge_lanes
+from factorcrit.enumeration import _representatives
 from conftest import disjoint_cliques
 from test_golden import CASES, Digest, run_cli
 
@@ -33,19 +34,14 @@ K3K7 = to_graph6(disjoint_cliques([3, 7]))
 CRITERION_3_SWEEPS = ((4, 2), (5, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 2), (8, 4), (8, 6))
 
 
-def batch_counts(classes: int) -> list[int]:
-    """The number of classes in each ``SWEEP_CHUNK`` batch of an order."""
-    return [min(cli.SWEEP_CHUNK, classes - base) for base in range(0, classes, cli.SWEEP_CHUNK)]
-
-
-def favaron_violations(kernel, reps8) -> tuple[int, int]:
+def favaron_violations(kernel) -> tuple[int, int]:
     """(batch pairs, graphs) over the cached batches of orders <= 8 and every
     k >= 2: how many (batch, k) pairs were checked, and how many graphs
     ``kernel`` decides k-factor-critical but not (k - 2)-factor-critical."""
     pairs = violations = 0
     for n in range(1, 9):
-        for lanes, count in zip(cli._sweep_lanes(n), batch_counts(len(reps8[n]))):
-            kfc = [kernel(lanes, n, k, count)[0] for k in range(n)]
+        for classes, lanes in cli._sweep_batches(n):
+            kfc = [kernel(lanes, n, k, len(classes))[0] for k in range(n)]
             pairs += max(0, n - 2)
             violations += sum((kfc[k] & ~kfc[k - 2]).bit_count() for k in range(2, n))
     return pairs, violations
@@ -172,7 +168,6 @@ class TestClassify:
         assert code == 0 and json.loads(out)["labels"] == ["C2"]
 
     def test_precondition_exit_1(self, capsys):
-        g6 = to_graph6(complete_graph(10))
         # K10 minus the designated non-edge still has a perfect matching
         from factorcrit import delete_edge
 
@@ -566,38 +561,42 @@ class TestVerify:
             assert exhaustive == run(capsys, *args, "--source", f"file:{path}"), (n, k)
             assert exhaustive[0] == 0 and f"scanned={len(reps8[n])} " in exhaustive[2]
 
-    def test_sweeps_never_write_the_cached_lanes(self, capsys, reps8):
+    def test_sweeps_never_write_the_cached_lanes(self, capsys):
         for n, k in CRITERION_3_SWEEPS:
             assert run(capsys, "verify", "--n", str(n), "--k", str(k), "--source", "all")[0] == 0
-        cached = {n: cli._sweep_lanes(n) for n in range(1, 9)}
+        cached = {n: cli._sweep_batches(n) for n in range(1, 9)}
         # rows that cannot be written: any write inside the kernel raises,
         # and every cached batch gets the verdicts of its lists at every k
-        for n, lanes in cached.items():
-            for batch, count in zip(lanes, batch_counts(len(reps8[n]))):
-                frozen = tuple(map(tuple, batch))
+        for n, batches in cached.items():
+            for classes, lanes in batches:
+                frozen = tuple(map(tuple, lanes))
                 for k in range(n):
-                    assert _batch_kernel(frozen, n, k, count) == _batch_kernel(batch, n, k, count), (n, k)
-        assert cli._sweep_lanes(8) is cached[8]
-        for n, lanes in cached.items():
-            graphs = reps8[n]
-            fresh = [_edge_lanes(graphs[i:i + cli.SWEEP_CHUNK], n) for i in range(0, len(graphs), cli.SWEEP_CHUNK)]
-            assert list(lanes) == fresh, n
+                    want = _batch_kernel(lanes, n, k, len(classes))
+                    assert _batch_kernel(frozen, n, k, len(classes)) == want, (n, k)
+        assert cli._sweep_batches(8) is cached[8]
+        for n, batches in cached.items():
+            assert [len(classes) for classes, _ in batches[:-1]] == [cli.SWEEP_CHUNK] * (len(batches) - 1), n
+            assert tuple(g for classes, _ in batches for g in classes) == _representatives(n), n
+            for classes, lanes in batches:
+                assert lanes == _edge_lanes(classes, n), n
+                assert all(lanes[u][v] == lanes[v][u] for u in range(n) for v in range(n)), n
+                assert not any(lanes[v][v] for v in range(n)), n
 
-    def test_kfc_batches_lie_inside_the_batches_two_below(self, reps8):
+    def test_kfc_batches_lie_inside_the_batches_two_below(self):
         # Favaron 1996: a k-factor-critical graph is (k - 2)-factor-critical
-        assert favaron_violations(_batch_kernel, reps8) == (39, 0)
+        assert favaron_violations(_batch_kernel) == (39, 0)
 
-    def test_a_stray_kfc_bit_breaks_the_inclusion(self, reps8):
+    def test_a_stray_kfc_bit_breaks_the_inclusion(self):
         # a kernel that also calls the first order-8 class, the empty graph,
         # 4-factor-critical: that graph is not 2-factor-critical
         def stray(lanes, n, k, count):
             kfc, minimal = _batch_kernel(lanes, n, k, count)
-            return (kfc | 1, minimal) if (n, k) == (8, 4) and lanes is cli._sweep_lanes(8)[0] else (kfc, minimal)
+            return (kfc | 1, minimal) if (n, k) == (8, 4) and lanes is cli._sweep_batches(8)[0][1] else (kfc, minimal)
 
-        assert favaron_violations(stray, reps8) == (39, 1)
+        assert favaron_violations(stray) == (39, 1)
 
-    def test_batch_kernel_leaves_its_lanes_unchanged(self, reps8):
-        graphs = reps8[8][:cli.SWEEP_CHUNK]
+    def test_batch_kernel_leaves_its_lanes_unchanged(self):
+        graphs = cli._sweep_batches(8)[0][0]
         lanes = _edge_lanes(graphs, 8)
         want = copy.deepcopy(lanes)
         for k in (0, 2, 4, 6):
@@ -605,7 +604,7 @@ class TestVerify:
             assert lanes == want
 
     def test_cold_and_warm_sweeps_agree(self, capsys):
-        cli._sweep_lanes.cache_clear()
+        cli._sweep_batches.cache_clear()
         passes = [
             [run(capsys, "verify", "--n", str(n), "--k", str(k), "--source", "all", "--format", fmt)
              for n, k in CRITERION_3_SWEEPS for fmt in ("human", "json", "tsv")]

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from factorcrit import (
     read_graph6_stream,
     to_graph6,
 )
-from factorcrit.cli import _sweep_lanes, main
+from factorcrit.cli import _sweep_batches, main
 from factorcrit.enumeration import (
     _attachment_codes,
     _canonical_bytes,
@@ -64,6 +65,10 @@ ORDER_9_SWEEP_SHA256 = {
     5: "104a177240a34bc46921be88935d9c9361709af8f597a9b2ab9d6b766fa5ccd9",
     7: "ca9010be79b07c4e72bf082d4fd88bae221718ac43dd8514a7ea77dabc08b499",
 }
+# SHA-256 of b"\n".join of the canonical forms of every class of orders 1..7,
+# then of random_graph(8 + s % 3, (0.2, 0.5, 0.8)[s % 3], s) for s = 0..299,
+# recorded while canonical forms had an encoder of their own
+CANONICAL_FORMS_SHA256 = "7f5bf853d491ebe9730dbc11cd64bd22392b473176e88780e1821b3727c125c8"
 
 
 def _degree_sequence(adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -246,6 +251,18 @@ class TestCanonicalForm:
         cg = canonical_graph(g)
         assert canonical_form(cg).encoding == canonical_form(g).encoding
         assert parse_graph6(canonical_form(g).encoding).n == 9
+        # networkx's reader shares no code with the codec
+        for h in [g] + [random_graph(1 + s % 10, 0.4, s) for s in range(40)]:
+            want = nx.Graph(h.edges())
+            want.add_nodes_from(range(h.n))
+            assert nx.is_isomorphic(nx.from_graph6_bytes(canonical_form(h).encoding), want)
+
+    def test_canonical_forms_digest(self, graphs_by_order):
+        graphs = [g for n in range(1, 8) for g in graphs_by_order[n]]
+        graphs += [random_graph(8 + s % 3, (0.2, 0.5, 0.8)[s % 3], s) for s in range(300)]
+        forms = b"\n".join(canonical_form(g).encoding for g in graphs)
+        assert len(graphs) == 1552
+        assert hashlib.sha256(forms).hexdigest() == CANONICAL_FORMS_SHA256
 
     def test_rejects_large(self):
         with pytest.raises(GraphError):
@@ -323,7 +340,7 @@ class TestAllGraphs:
                     assert [line.split()[:2] for line in lines] == want
         finally:
             _representatives.cache_clear()  # the order-9 classes hold about 105 MB of RSS
-            _sweep_lanes.cache_clear()  # and their sweeps' edge lanes about 1.3 MB
+            _sweep_batches.cache_clear()  # and their sweeps' batches about 3.3 MB
 
 
 def ordering_columns(adj: tuple[int, ...], order: tuple[int, ...]) -> list[int]:

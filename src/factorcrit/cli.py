@@ -249,7 +249,9 @@ def verify_scan(args: argparse.Namespace) -> int:
         if worker is None:
             batches = _kernel_batches(n, k)
         else:
-            results = pool.imap(worker, tasks, max(1, scanned // (workers * 8))) if pool else map(worker, tasks)
+            # imap builds each chunk as one tuple first: at most one record batch
+            chunk = max(1, min(SWEEP_CHUNK, scanned // (workers * 8)))
+            results = pool.imap(worker, tasks, chunk) if pool else map(worker, tasks)
             batches = _graph_batches(shaped(results))
         for graphs, flags in batches:
             text, failed = _records(graphs, flags, n, k, fmt)

@@ -4,8 +4,9 @@ A graph is k-factor-critical (k-FC) when every k-subset of vertices can be
 deleted leaving a perfect matching, and minimal when no single edge deletion
 preserves that. For each undeletable edge e = uv there is a certificate: a
 k-set S_e avoiding u and v such that every perfect matching of G - S_e uses
-e. All subset sweeps run in ascending-bitmask (colexicographic) order so
-reported witnesses are canonical.
+e. Every k-set sweep, the blossom one of a whole graph
+(:func:`_first_failing_subset`) included, runs in ascending-bitmask
+(colexicographic) order, so reported witnesses are canonical.
 
 Edge tests do not sweep G - e again. One sweep of G keeps a perfect
 matching of G - S for every k-set S (:class:`_Witnesses`). Deleting uv
@@ -90,7 +91,7 @@ from .graphs import (
     min_degree,
     normalize_edge,
 )
-from .matching import _augment_five, _augment_three, _find_augmenting, _first_failing_subset
+from .matching import _augment_three, _find_augmenting, _match_array
 
 
 class NotKFactorCriticalError(GraphError):
@@ -103,6 +104,49 @@ def _check_k(g: Graph, k: int) -> None:
         raise GraphError(f"k={k} outside 0..{g.n - 1}")
 
 
+def _first_failing_subset(
+    n: int, adj: tuple[int, ...], k: int, witnesses: list[tuple[int, list[int]]] | None = None,
+) -> int | None:
+    """First k-set S (ascending mask) such that G - S has no perfect matching,
+    or None when G is k-FC. ``witnesses``, when given, receives (S, match
+    array) with a perfect matching of G - S for every k-set S below the first
+    failing one."""
+    full = (1 << n) - 1
+    for s in _k_subsets_ascending(n, k):
+        match = None if (n - k) % 2 else _match_array(n, adj, full ^ s, stop_on_exposed=True)
+        if match is None:
+            return s
+        if witnesses is not None:
+            witnesses.append((s, match))
+    return None
+
+
+def _augment_five(adj: tuple[int, ...], sub: int, match: list[int], u: int, v: int) -> bool:
+    """Augment along the first path u - a = b - c = d - v, or return False
+    with ``match`` unchanged: a ascending in N(u), b = match[a], c the lowest
+    neighbour of b but a whose mate d is adjacent to v. Requires u and v
+    non-adjacent and the only exposed vertices of ``sub``."""
+    dv = 0  # the mates of v's neighbours
+    row = adj[v] & sub
+    while row:
+        bit = row & -row
+        row ^= bit
+        dv |= 1 << match[bit.bit_length() - 1]
+    row = adj[u] & sub
+    while row:
+        bit = row & -row
+        row ^= bit
+        a = bit.bit_length() - 1
+        b = match[a]
+        ends = adj[b] & dv & ~bit
+        if ends:
+            c = (ends & -ends).bit_length() - 1
+            d = match[c]
+            match[u], match[a], match[b], match[c], match[d], match[v] = a, u, c, b, v, d
+            return True
+    return False
+
+
 class _Witnesses:
     """A graph under edge deletion with one perfect matching of G - S per
     k-set S. ``failing`` is the input's first failing k-set; the edge tests
@@ -112,7 +156,7 @@ class _Witnesses:
         _check_k(g, k)
         self.n, self.k, self.full, self.adj = g.n, k, g.vertex_mask, list(g.adj)
         self.table: list[tuple[int, list[int]]] = []
-        self.failing = _first_failing_subset(g.n, g.adj, g.vertex_mask, k, self.table)
+        self.failing = _first_failing_subset(g.n, g.adj, k, self.table)
 
     def failing_without(self, u: int, v: int, commit: bool = False) -> int | None:
         """Lowest k-set S such that G - uv - S has no perfect matching, or
@@ -155,7 +199,7 @@ def is_k_factor_critical(g: Graph, k: int) -> tuple[bool, VertexSet | None]:
     _check_k(g, k)
     if (g.n + k) % 2:
         return False, None
-    failing = _first_failing_subset(g.n, g.adj, g.vertex_mask, k)
+    failing = _first_failing_subset(g.n, g.adj, k)
     return (failing is None), failing
 
 
@@ -396,7 +440,7 @@ def minimalize(g: Graph, k: int, seed: int) -> Graph:
         if adj[u].bit_count() > k + 1 < adj[v].bit_count():
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-    if _first_failing_subset(g.n, adj, g.vertex_mask, k) is None:
+    if _first_failing_subset(g.n, adj, k) is None:
         return _trusted(g.n, tuple(adj))
     w = _Witnesses(g, k)
     if w.failing is not None:

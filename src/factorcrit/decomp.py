@@ -1,11 +1,11 @@
 """Factor-criticality, Gallai-Edmonds decomposition, and barrier witnesses.
 
 A graph is factor-critical when it is 1-factor-critical: it has odd order
-and deleting any one vertex leaves a perfect matching. The test is the k = 1
-case of the k-subset sweep in :mod:`.matching`, run on the vertex set in
-question, so a component of G - X is tested in place. The Gallai-Edmonds
-decomposition comes from one maximum matching and the stuck blossom searches
-from its exposed vertices.
+and deleting any one vertex leaves a perfect matching. That definition is
+stated once, for a vertex set, so a component C of G - X is tested in place
+with |C| perfect-matching tests. The Gallai-Edmonds decomposition comes from
+one maximum matching and the stuck blossom searches from its exposed
+vertices.
 
 A barrier witness is a vertex set X whose removal leaves only factor-critical
 components, at least |X| + 2 of them; one exists in every graph of deficiency
@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, VertexSet, _components_masked, _k_subsets_ascending, bits
-from .matching import _find_augmenting, _first_failing_subset, _has_pm, _match_array
+from .matching import _find_augmenting, _has_pm, _match_array
+
+
+def _factor_critical(n: int, adj: tuple[int, ...], sub: int) -> bool:
+    """The subgraph induced on ``sub`` has odd order, and deleting any one of
+    its vertices leaves a perfect matching."""
+    return sub.bit_count() % 2 == 1 and all(_has_pm(n, adj, sub ^ 1 << v) for v in bits(sub))
 
 
 def is_factor_critical(g: Graph) -> bool:
@@ -29,7 +35,7 @@ def is_factor_critical(g: Graph) -> bool:
     graph, whose perfect matching is vacuous. The empty graph has even order
     and does not.
     """
-    return g.n % 2 == 1 and _first_failing_subset(g.n, g.adj, g.vertex_mask, 1) is None
+    return _factor_critical(g.n, g.adj, g.vertex_mask)
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,7 @@ def _witness_for(
             return None
         fc = fc_cache.get(comp)
         if fc is None:
-            fc = _first_failing_subset(n, adj, comp, 1) is None
-            fc_cache[comp] = fc
+            fc = fc_cache[comp] = _factor_critical(n, adj, comp)
         if not fc:
             return None
         infos.append(ComponentInfo(vertices=comp))

@@ -1,29 +1,20 @@
-"""Maximum matching and perfect-matching predicates.
+"""Maximum matching, perfect-matching predicates, and odd components.
 
 The production engine is an array-based blossom algorithm working directly
 on vertex bitmasks, so induced subgraphs never need relabeling; each search
 keeps its alternating tree in a vertex mask and contracts blossoms in it
 alone. An exposed vertex first tries a three-edge augmenting path, found
 with a few bit operations, and the path the blossom search would take; the
-search runs only when there is none. The k-subset sweep built on it decides
-k-factor-criticality and, at k = 1 on a vertex set, factor-criticality. A
-pruned exhaustive recursion (:func:`brute_force_max_matching`) and a full
-perfect-matching enumerator serve as independent oracles for tests.
+search runs only when there is none. A pruned exhaustive recursion
+(:func:`brute_force_max_matching`) and a full perfect-matching enumerator
+serve as independent oracles for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    Edge,
-    Graph,
-    GraphError,
-    VertexSet,
-    _components_masked,
-    _k_subsets_ascending,
-    delete_edge,
-)
+from .graphs import Edge, Graph, GraphError, VertexSet, _components_masked, delete_edge
 
 
 @dataclass(frozen=True)
@@ -142,32 +133,6 @@ def _augment_three(adj: tuple[int, ...], sub: int, match: list[int], v: int, tar
     return -1
 
 
-def _augment_five(adj: tuple[int, ...], sub: int, match: list[int], u: int, v: int) -> bool:
-    """Augment along the first path u - a = b - c = d - v, or return False
-    with ``match`` unchanged: a ascending in N(u), b = match[a], c the lowest
-    neighbour of b but a whose mate d is adjacent to v. Requires u and v
-    non-adjacent and the only exposed vertices of ``sub``."""
-    dv = 0  # the mates of v's neighbours
-    row = adj[v] & sub
-    while row:
-        bit = row & -row
-        row ^= bit
-        dv |= 1 << match[bit.bit_length() - 1]
-    row = adj[u] & sub
-    while row:
-        bit = row & -row
-        row ^= bit
-        a = bit.bit_length() - 1
-        b = match[a]
-        ends = adj[b] & dv & ~bit
-        if ends:
-            c = (ends & -ends).bit_length() - 1
-            d = match[c]
-            match[u], match[a], match[b], match[c], match[d], match[v] = a, u, c, b, v, d
-            return True
-    return False
-
-
 def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool = False) -> list[int] | None:
     """Maximum matching on the vertices of ``sub`` as a match array.
 
@@ -221,29 +186,6 @@ def _has_pm(n: int, adj: tuple[int, ...], sub: int) -> bool:
     if sub.bit_count() % 2:
         return False
     return _match_array(n, adj, sub, stop_on_exposed=True) is not None
-
-
-def _first_failing_subset(
-    n: int, adj: tuple[int, ...], sub: int, k: int, witnesses: list[tuple[int, list[int]]] | None = None,
-) -> int | None:
-    """First k-subset S of ``sub`` (ascending mask) such that the subgraph
-    induced on sub - S has no perfect matching, or None when there is none.
-
-    With ``sub`` all vertices this sweeps k-factor-criticality; with k = 1 and
-    ``sub`` of odd order, factor-criticality of the induced subgraph.
-    ``witnesses``, when given, receives (S, match array) with a perfect
-    matching of G[sub - S] for every k-set S below the first failing one.
-    """
-    for s in _k_subsets_ascending(n, k):
-        if s & ~sub:
-            continue
-        rest = sub & ~s
-        match = None if rest.bit_count() % 2 else _match_array(n, adj, rest, stop_on_exposed=True)
-        if match is None:
-            return s
-        if witnesses is not None:
-            witnesses.append((s, match))
-    return None
 
 
 def max_matching(g: Graph) -> Matching:

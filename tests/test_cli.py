@@ -427,8 +427,9 @@ class TestVerify:
 
     def test_workers_at_most_cpu_count(self, capsys, monkeypatch, tmp_path):
         # a per-graph source starts min(jobs, CPUs, inputs) workers and hands
-        # each imap chunk inputs // (workers * 8) tasks; the pool is a fake
-        # that records its size and chunk and runs the tasks in-process
+        # each imap chunk inputs // (workers * 8) tasks, at most SWEEP_CHUNK;
+        # the pool is a fake that records its size and chunk and runs the
+        # tasks in-process
         sizes, chunks = [], []
 
         class FakePool:
@@ -465,6 +466,16 @@ class TestVerify:
             assert run(capsys, *sample, "--samples", samples, "--jobs", "3") == single, samples
             assert sizes == want, samples
         assert chunks == [6, 4, 1]
+        # a billion starts: imap builds a chunk as one tuple before any worker
+        # starts, so an uncapped chunk would hold 62,500,000 tasks; from here
+        # the pool records the chunk and never touches the tasks
+        def idle(self, func, iterable, chunksize=1):
+            chunks.append(chunksize)
+            return iter(())
+
+        monkeypatch.setattr(FakePool, "imap", idle)
+        code, _, _ = run(capsys, *sample, "--samples", "1000000000", "--jobs", "2")
+        assert code == 0 and chunks[-1] == cli.SWEEP_CHUNK
 
     @pytest.mark.parametrize("source", ["all", "sample"])
     def test_one_job_asks_no_cpu_count(self, capsys, monkeypatch, source):

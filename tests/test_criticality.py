@@ -36,8 +36,8 @@ from factorcrit import (
 )
 from factorcrit import criticality
 from factorcrit.cli import main
-from factorcrit.criticality import _edge_deletable, _Witnesses
-from factorcrit.matching import _augment_five, _find_augmenting, _first_failing_subset
+from factorcrit.criticality import _augment_five, _edge_deletable, _first_failing_subset, _Witnesses
+from factorcrit.matching import _find_augmenting
 from conftest import disjoint_cliques, petersen
 
 
@@ -303,9 +303,9 @@ class TestMinimalize:
         the witness table's, which raises NotKFactorCriticalError."""
         sweeps = []
 
-        def sweeping(n, adj, sub, k, *witnesses):
+        def sweeping(n, adj, k, *witnesses):
             sweeps.append(k)
-            return _first_failing_subset(n, adj, sub, k, *witnesses)
+            return _first_failing_subset(n, adj, k, *witnesses)
 
         monkeypatch.setattr(criticality, "_first_failing_subset", sweeping)
         for k in (-1, 6, 7):
@@ -531,7 +531,7 @@ class TestWitnessRepair:
             SplitMix64(seed).shuffle(order)
             for u, v in order:
                 current = w.graph()
-                want = _first_failing_subset(g.n, delete_edge(current, (u, v)).adj, g.vertex_mask, k)
+                want = _first_failing_subset(g.n, delete_edge(current, (u, v)).adj, k)
                 broken = [s for s, match in w.table if match[u] == v]
                 before = counts.copy()
                 got = w.failing_without(u, v, commit=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from factorcrit import (
     odd_components,
     random_graph,
 )
-from factorcrit.graphs import _components_masked
+from factorcrit.graphs import _components_masked, bits
 from conftest import bowtie, disjoint_cliques
 
 STAR = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -74,6 +76,15 @@ class TestFactorCritical:
             n = 1 + seed % 11
             g = random_graph(n, (0.2, 0.4, 0.6, 0.8)[seed % 4], seed)
             assert is_factor_critical(g) == self.factor_critical_by_definition(g), seed
+        # the vertex-set form, on seeded sets that include the empty set and
+        # singletons, against the definition on the induced subgraph
+        rng = random.Random(0)
+        for seed in range(300):
+            g = random_graph(1 + seed % 12, (0.2, 0.4, 0.6, 0.8)[seed % 4], seed)
+            subs = (0, 1 << rng.randrange(g.n), rng.getrandbits(g.n), rng.getrandbits(g.n) | rng.getrandbits(g.n))
+            for sub in subs:
+                keep = delete_vertices(g, g.vertex_mask & ~sub)
+                assert decomp._factor_critical(g.n, g.adj, sub) == self.factor_critical_by_definition(keep), (seed, sub)
 
     def test_empty_graph_is_not_factor_critical(self):
         assert not is_factor_critical(Graph(0, ()))
@@ -205,6 +216,28 @@ class TestBarrierWitnesses:
                 assert info.vertices.bit_count() % 2 == 1
                 sub = delete_vertices(g, g.vertex_mask & ~info.vertices)
                 assert is_factor_critical(sub)
+
+    def test_component_takes_one_test_per_vertex(self, monkeypatch):
+        """Vertex 0 joined to K1, a triangle and C5: G - {0} has components of
+        orders 1, 3 and 5, and each is tested on its own vertices alone."""
+        g = graph_from_edges(
+            10,
+            [(0, v) for v in range(1, 10)] + [(2, 3), (3, 4), (2, 4)]
+            + [(5 + i, 5 + (i + 1) % 5) for i in range(5)],
+        )
+        tested = []
+
+        def counting(n, adj, sub):
+            tested.append(sub)
+            return has_pm(n, adj, sub)
+
+        has_pm = decomp._has_pm
+        monkeypatch.setattr(decomp, "_has_pm", counting)
+        ws = find_barrier_witnesses(g, 1)
+        comps = [mask_of([1]), mask_of([2, 3, 4]), mask_of(range(5, 10))]
+        assert [(w.x, [c.vertices for c in w.components]) for w in ws] == [(1, comps)]
+        # one whole-graph test, then |C| tests per component, each of C - v
+        assert tested == [g.vertex_mask] + [c ^ 1 << v for c in comps for v in bits(c)]
 
     def test_deficiency_achieving_witness_exists(self, graphs_by_order):
         # some returned witness attains C_o - |X| = deficiency whenever the

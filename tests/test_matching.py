@@ -25,7 +25,8 @@ from factorcrit import (
     odd_components,
     random_graph,
 )
-from factorcrit.matching import _augment_five, _augment_three, _find_augmenting, _match_array
+from factorcrit.criticality import _augment_five
+from factorcrit.matching import _augment_three, _find_augmenting, _match_array
 from conftest import disjoint_cliques, petersen
 
 P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])

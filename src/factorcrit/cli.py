@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 from functools import cache, partial
 from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator
@@ -175,8 +175,9 @@ def verify_scan(args: argparse.Namespace) -> int:
     k + 1 is a counterexample.
 
     Every input check (the flags, the source, the n <= 9 cap of exhaustive
-    generation, the 1..64 range of sampled orders, and the order of every
-    graph in a ``file:`` source) comes before the first byte is written.
+    generation, the 1..64 range of sampled orders, the order of every graph
+    in a ``file:`` source, and opening the run log for append) comes before
+    the first byte is written; the log entry is written after the sweep.
     Each source yields its k-factor-critical graphs and their minimal flags
     in batches, in input order, and the parent alone writes each batch's
     records to stdout with one write: graph6 strings and minimum degrees
@@ -232,18 +233,20 @@ def verify_scan(args: argparse.Namespace) -> int:
     else:
         raise GraphError(f"unknown source {source!r}")
 
-    pool = None
     workers = min(jobs, os.cpu_count() or 1, scanned) if worker and jobs > 1 else 1
-    if workers > 1:
-        from multiprocessing import Pool  # about 0.6 MB of RSS; only --jobs > 1 needs it
-
-        # forked before the first write, so no worker inherits buffered output
-        pool = Pool(workers)
     out = sys.stdout
     kfc = minimal = 0
     counterexamples = []
-    # leaving the block terminates the workers, also when a record raises
-    with pool or nullcontext():
+    # leaving the block closes the log and terminates the workers, also when a record raises
+    with ExitStack() as stack:
+        # opened before the first byte, so that a log that cannot be opened writes nothing
+        log = stack.enter_context(open(args.log, "a", encoding="utf-8")) if args.log else None
+        pool = None
+        if workers > 1:
+            from multiprocessing import Pool  # about 0.6 MB of RSS; only --jobs > 1 needs it
+
+            # forked before the first write, so no worker inherits buffered output
+            pool = stack.enter_context(Pool(workers))
         if fmt == "tsv":
             out.write("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n")
         if worker is None:
@@ -259,28 +262,27 @@ def verify_scan(args: argparse.Namespace) -> int:
             kfc += len(graphs)
             minimal += flags.count(1)
             counterexamples += failed
+        if log:
+            import hashlib  # loads OpenSSL (about 3.7 MB of RSS); only the run log needs it
+            import shlex  # only the run log needs a shell-quoted command line
+            from datetime import datetime, timezone  # only the run log needs a clock
+
+            if data is None:  # not a file: hash what defines the scanned graphs
+                data = f"{source}:n={n}:k={k}:samples={args.samples}:p={args.p}:seed={args.seed}".encode()
+            entry = {
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "command": shlex.join(["factorcrit", *args.argv]),
+                "input_digest": hashlib.sha256(data).hexdigest(),
+                "seed": args.seed,
+                "counts": {"scanned": scanned, "kfc": kfc, "minimal": minimal},
+                "verdict": "fail" if counterexamples else "pass",
+            }
+            log.write(json.dumps(entry) + "\n")
 
     summary = f"scanned={scanned} kfc={kfc} minimal={minimal} failures={len(counterexamples)}"
     print(summary, file=out if fmt == "human" else sys.stderr)
     for g6 in counterexamples:
         print(f"counterexample: {g6}", file=sys.stderr)
-    if args.log:
-        import hashlib  # loads OpenSSL (about 3.7 MB of RSS); only the run log needs it
-        import shlex  # only the run log needs a shell-quoted command line
-        from datetime import datetime, timezone  # only the run log needs a clock
-
-        if data is None:  # not a file: hash what defines the scanned graphs
-            data = f"{source}:n={n}:k={k}:samples={args.samples}:p={args.p}:seed={args.seed}".encode()
-        entry = {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "command": shlex.join(["factorcrit", *args.argv]),
-            "input_digest": hashlib.sha256(data).hexdigest(),
-            "seed": args.seed,
-            "counts": {"scanned": scanned, "kfc": kfc, "minimal": minimal},
-            "verdict": "fail" if counterexamples else "pass",
-        }
-        with open(args.log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
     return EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
 
 

@@ -12,16 +12,15 @@ Edge tests do not sweep G - e again. One sweep of G keeps a perfect
 matching of G - S for every k-set S (:class:`_Witnesses`). Deleting uv
 breaks only the matchings that use uv, and with uv dropped u and v are the
 only exposed vertices. Any augmenting path repairs such a matching (Berge's
-theorem), so the three-edge path u - a = b - v is tried first: a is the
-lowest neighbour of u whose mate b is adjacent to v. Failing that, the
-five-edge path u - a = b - c = d - v is tried, c the lowest neighbour of b
-but a whose mate d is adjacent to v. Only when neither exists does one
-blossom search from u run, which either repairs the matching or proves that
-G - uv - S has none. Each S is decided exactly, so which repair is found
-changes no deletion or certificate. Every other S keeps its matching. The
-broken matchings are repaired in ascending order of S, so the first one that
-cannot be repaired is the lowest failing k-set of G - uv: the certificate a
-full sweep of G - uv would report.
+theorem), so the repair is the augmenting step of ``matching`` from u with
+v as its only target: the three-edge path u - a = b - v, else the
+five-edge path u - a = b - c = d - v, else one blossom search from u,
+which either repairs the matching or proves that G - uv - S has none. Each
+S is decided exactly, so which repair is found changes no deletion or
+certificate. Every other S keeps its matching. The broken matchings are
+repaired in ascending order of S, so the first one that cannot be repaired
+is the lowest failing k-set of G - uv: the certificate a full sweep of
+G - uv would report.
 
 Most edges that minimalization refuses are refused by degree alone. Every
 k-FC graph has minimum degree at least k + 1 (Favaron, "On k-factor-critical
@@ -91,7 +90,7 @@ from .graphs import (
     min_degree,
     normalize_edge,
 )
-from .matching import _augment_three, _find_augmenting, _match_array
+from .matching import _augment, _match_array
 
 
 class NotKFactorCriticalError(GraphError):
@@ -119,32 +118,6 @@ def _first_failing_subset(
         if witnesses is not None:
             witnesses.append((s, match))
     return None
-
-
-def _augment_five(adj: tuple[int, ...], sub: int, match: list[int], u: int, v: int) -> bool:
-    """Augment along the first path u - a = b - c = d - v, or return False
-    with ``match`` unchanged: a ascending in N(u), b = match[a], c the lowest
-    neighbour of b but a whose mate d is adjacent to v. Requires u and v
-    non-adjacent and the only exposed vertices of ``sub``."""
-    dv = 0  # the mates of v's neighbours
-    row = adj[v] & sub
-    while row:
-        bit = row & -row
-        row ^= bit
-        dv |= 1 << match[bit.bit_length() - 1]
-    row = adj[u] & sub
-    while row:
-        bit = row & -row
-        row ^= bit
-        a = bit.bit_length() - 1
-        b = match[a]
-        ends = adj[b] & dv & ~bit
-        if ends:
-            c = (ends & -ends).bit_length() - 1
-            d = match[c]
-            match[u], match[a], match[b], match[c], match[d], match[v] = a, u, c, b, v, d
-            return True
-    return False
 
 
 class _Witnesses:
@@ -176,9 +149,7 @@ class _Witnesses:
                 continue
             m = match.copy()
             m[u] = m[v] = -1
-            sub = full & ~s
-            if (_augment_three(adj, sub, m, u, 1 << v) < 0 and not _augment_five(adj, sub, m, u, v)
-                    and _find_augmenting(n, adj, sub, m, u)):
+            if not _augment(n, adj, full & ~s, m, u, 1 << v):
                 return s
             repaired.append((i, s, m))
         if commit:
@@ -231,7 +202,6 @@ class MinimalityCertificate:
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    k: int
     is_kfc: bool
     is_minimal: bool
     failing_set: VertexSet | None
@@ -272,7 +242,7 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
     w = _Witnesses(g, k)
     if w.failing is not None:
         return CriticalityReport(
-            k=k, is_kfc=False, is_minimal=False,
+            is_kfc=False, is_minimal=False,
             failing_set=None if (g.n + k) % 2 else w.failing,
             certificates=(), deletable_edges=(),
         )
@@ -285,7 +255,7 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
         else:
             certs.append(MinimalityCertificate(edge=e, s_e=s_e))
     return CriticalityReport(
-        k=k, is_kfc=True, is_minimal=not deletable, failing_set=None,
+        is_kfc=True, is_minimal=not deletable, failing_set=None,
         certificates=tuple(certs), deletable_edges=tuple(deletable),
     )
 

@@ -3,9 +3,10 @@
 The production engine is an array-based blossom algorithm working directly
 on vertex bitmasks, so induced subgraphs never need relabeling; each search
 keeps its alternating tree in a vertex mask and contracts blossoms in it
-alone. An exposed vertex first tries a three-edge augmenting path, found
-with a few bit operations, and the path the blossom search would take; the
-search runs only when there is none. A pruned exhaustive recursion
+alone. Every augmenting step (:func:`_augment`), in a maximum matching and
+in the witness repairs of ``criticality``, first tries a three-edge path,
+then a five-edge path, each found with a few bit operations, and runs the
+blossom search only when neither exists. A pruned exhaustive recursion
 (:func:`brute_force_max_matching`) and a full perfect-matching enumerator
 serve as independent oracles for tests.
 """
@@ -105,21 +106,21 @@ def _find_augmenting(n: int, adj: tuple[int, ...], sub: int, match: list[int], r
     return outer
 
 
-def _augment_three(adj: tuple[int, ...], sub: int, match: list[int], v: int, targets: int) -> int:
-    """Augment along the first path v - a = b - w with w in ``targets``.
+def _augment(n: int, adj: tuple[int, ...], sub: int, match: list[int], v: int, targets: int) -> bool:
+    """Augment from the exposed vertex v to a vertex of ``targets``: along
+    the first three-edge path, else the first five-edge path, else by one
+    :func:`_find_augmenting` search. Returns False, with ``match``
+    unchanged, when no augmenting path from v exists.
 
-    ``a`` runs through the neighbours of ``v`` in ``sub`` in ascending order,
-    ``b = match[a]``, and w is the lowest target adjacent to b. Requires v
-    exposed, every neighbour of v in ``sub`` matched, and ``targets`` exposed
-    vertices of ``sub`` other than v. Returns w, or -1 with ``match``
-    unchanged when no such path exists.
-
-    When :func:`_find_augmenting` from v would reach an exposed vertex in
-    ``targets`` in three edges, this is the path it takes: its queue starts
-    with v and then the mates of v's neighbours in this order, and the first
-    exposed neighbour of the first mate that has one ends the search.
+    The three-edge path is v - a = b - w: a ascending in the neighbours of v
+    in ``sub``, b = match[a], w the lowest target adjacent to b. The
+    five-edge path is v - a = b - c = d - w: c the lowest neighbour of b but
+    a whose mate d is adjacent to a target, and w the lowest target adjacent
+    to d. Requires ``targets`` to be exposed vertices of ``sub`` other than
+    v, and every neighbour in ``sub`` of v and of each target to be matched.
+    The search may end at any exposed vertex of ``sub``.
     """
-    row = adj[v] & sub
+    near = row = adj[v] & sub
     while row:
         bit = row & -row
         row ^= bit
@@ -129,8 +130,33 @@ def _augment_three(adj: tuple[int, ...], sub: int, match: list[int], v: int, tar
         if ends:
             w = (ends & -ends).bit_length() - 1
             match[v], match[a], match[b], match[w] = a, v, w, b
-            return w
-    return -1
+            return True
+    nbrs = 0
+    row = targets
+    while row:
+        bit = row & -row
+        row ^= bit
+        nbrs |= adj[bit.bit_length() - 1]
+    row, mates = nbrs & sub, 0  # the mates of the targets' neighbours
+    while row:
+        bit = row & -row
+        row ^= bit
+        mates |= 1 << match[bit.bit_length() - 1]
+    row = near
+    while row:
+        bit = row & -row
+        row ^= bit
+        a = bit.bit_length() - 1
+        b = match[a]
+        ends = adj[b] & mates & ~bit
+        if ends:
+            c = (ends & -ends).bit_length() - 1
+            d = match[c]
+            ends = adj[d] & targets
+            w = (ends & -ends).bit_length() - 1
+            match[v], match[a], match[b], match[c], match[d], match[w] = a, v, c, b, w, d
+            return True
+    return not _find_augmenting(n, adj, sub, match, v)
 
 
 def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool = False) -> list[int] | None:
@@ -161,18 +187,13 @@ def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool =
     while exposed:
         bit = exposed & -exposed
         exposed ^= bit
-        v = bit.bit_length() - 1
-        w = _augment_three(adj, sub, match, v, exposed)
-        if w >= 0:
-            exposed ^= 1 << w
-        elif _find_augmenting(n, adj, sub, match, v):
-            if stop_on_exposed:
-                return None
-        else:  # the search matched some exposed w above v: drop it
-            rest = exposed
+        if _augment(n, adj, sub, match, bit.bit_length() - 1, exposed):
+            rest = exposed  # one exposed w above v is matched now: drop it
             while match[(rest & -rest).bit_length() - 1] == -1:
                 rest &= rest - 1
             exposed ^= rest & -rest
+        elif stop_on_exposed:
+            return None
     return match
 
 

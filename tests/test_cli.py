@@ -557,7 +557,7 @@ class TestVerify:
         assert "counterexample:" not in out + err
         # the batch fails before its records are written, and no run is logged
         assert out == ("graph6\tn\tk\tis_kfc\tis_minimal\tmin_degree\tverdict\twitness\n" if fmt == "tsv" else "")
-        assert not log.exists()
+        assert log.read_text() == ""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exhaustive_sweeps_match_file_source(self, capsys, tmp_path, reps8, jobs):
@@ -670,6 +670,17 @@ class TestVerify:
         entry = json.loads(log.read_text())
         assert entry["input_digest"] == hashlib.sha256(data).hexdigest()
         assert entry["counts"] == {"scanned": 3, "kfc": 2, "minimal": 0}
+
+    @pytest.mark.parametrize("fmt", ["human", "tsv"])
+    def test_run_log_in_missing_directory_exit_2(self, capsys, tmp_path, fmt):
+        # the log is opened before the first byte: no record, header or summary
+        log = tmp_path / "missing" / "runs.ndjson"
+        code, out, err = run(
+            capsys, "verify", "--n", "3", "--k", "1", "--source", "all", "--format", fmt, "--log", str(log),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+        assert not log.parent.exists()
 
     def test_run_log_command_reruns(self, capsys, tmp_path):
         # a file: path with a space is quoted, so the logged command splits back

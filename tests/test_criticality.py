@@ -36,8 +36,8 @@ from factorcrit import (
 )
 from factorcrit import criticality
 from factorcrit.cli import main
-from factorcrit.criticality import _augment_five, _edge_deletable, _first_failing_subset, _Witnesses
-from factorcrit.matching import _find_augmenting
+from factorcrit.criticality import _edge_deletable, _first_failing_subset, _Witnesses
+from factorcrit.matching import _augment
 from conftest import disjoint_cliques, petersen
 
 
@@ -503,21 +503,19 @@ class TestWitnessRepair:
         """Every edge test of a committed deletion pass equals a sweep of
         G - e from scratch, and every repair occurs: the three-edge path,
         the five-edge path when there is none, and the blossom search when
-        neither exists, which succeeds or fails."""
+        neither exists, which succeeds or fails. A repair is told by how
+        many mates it changes: 4, 6, or 8 and more for a search."""
         counts = Counter()
+        kinds = {4: "three-edge repairs", 6: "five-edge repairs"}
 
-        def five(adj, sub, match, u, v):
-            found = _augment_five(adj, sub, match, u, v)
-            counts["five-edge repairs"] += found
+        def counting(n, adj, sub, match, v, targets):
+            before = match.copy()
+            found = _augment(n, adj, sub, match, v, targets)
+            changed = sum(x != y for x, y in zip(before, match))
+            counts[kinds.get(changed, "search found") if found else "search failed"] += 1
             return found
 
-        def counting(n, adj, sub, match, root):
-            stuck = _find_augmenting(n, adj, sub, match, root)
-            counts["search failed" if stuck else "search found"] += 1
-            return stuck
-
-        monkeypatch.setattr(criticality, "_augment_five", five)
-        monkeypatch.setattr(criticality, "_find_augmenting", counting)
+        monkeypatch.setattr(criticality, "_augment", counting)
 
         @settings(max_examples=400, deadline=None, derandomize=True)
         @given(sparse_cases(), SEEDS)
@@ -538,10 +536,8 @@ class TestWitnessRepair:
                 assert got == want
                 # every returned set is the first whose repair fails
                 assert counts["search failed"] - before["search failed"] == (got is not None)
-                below = sum(got is None or s < got for s in broken)
-                counts["three-edge repairs"] += below - sum(
-                    counts[kind] - before[kind] for kind in ("five-edge repairs", "search found")
-                )
+                repaired = sum(counts[kind] - before[kind] for kind in (*kinds.values(), "search found"))
+                assert repaired == sum(got is None or s < got for s in broken)
                 if got is None:
                     _assert_table_perfect(w)
 
@@ -579,12 +575,12 @@ class TestWitnessRepair:
 
     def test_forced_edges_search_nothing(self, monkeypatch):
         """minimalize and kfc_and_minimal refuse an edge with an endpoint of
-        degree k + 1 without scanning the table or running a blossom search."""
+        degree k + 1 without scanning the table or repairing a matching."""
         counts = Counter()
 
-        def augmenting(*args):
-            counts["searches"] += 1
-            return _find_augmenting(*args)
+        def repairing(*args):
+            counts["repairs"] += 1
+            return _augment(*args)
 
         failing_without = _Witnesses.failing_without
 
@@ -598,11 +594,11 @@ class TestWitnessRepair:
             got = _edge_deletable(w, e)
             if forced is not None:
                 assert not got
-                assert counts["searches"] == before["searches"] and counts["scans"] == before["scans"]
+                assert counts["repairs"] == before["repairs"] and counts["scans"] == before["scans"]
                 counts["forced edges"] += 1
             return got
 
-        monkeypatch.setattr(criticality, "_find_augmenting", augmenting)
+        monkeypatch.setattr(criticality, "_augment", repairing)
         monkeypatch.setattr(_Witnesses, "failing_without", scanning)
         monkeypatch.setattr(criticality, "_edge_deletable", deletable)
         for seed in range(30):
@@ -616,7 +612,7 @@ class TestWitnessRepair:
                 # minimal exactly when minimalize deleted nothing from it
                 assert kfc_and_minimal(h, 2) == (True, len(h.edges()) == len(m.edges()))
                 counts["sweep forced edges"] += counts["forced edges"] - before
-        assert counts["forced edges"] >= 100 and counts["searches"] and counts["scans"]
+        assert counts["forced edges"] >= 100 and counts["repairs"] and counts["scans"]
         assert counts["sweep forced edges"] >= 300
 
 

@@ -25,8 +25,7 @@ from factorcrit import (
     odd_components,
     random_graph,
 )
-from factorcrit.criticality import _augment_five
-from factorcrit.matching import _augment_three, _find_augmenting, _match_array
+from factorcrit.matching import _augment, _find_augmenting, _match_array
 from conftest import disjoint_cliques, petersen
 
 P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -264,8 +263,33 @@ def reference_find_augmenting(n, adj, sub, match, root):
     return False
 
 
+def reference_short_path(adj, sub, match, v, targets):
+    """The first augmenting path from v to a vertex of ``targets`` with three
+    edges, (v, a, b, w), else the first with five, (v, a, b, c, d, w), in
+    ascending order of a, then c, then w; None when there is neither."""
+    for a in bits(adj[v] & sub):
+        for w in bits(adj[match[a]] & targets):
+            return v, a, match[a], w
+    for a in bits(adj[v] & sub):
+        b = match[a]
+        for c in bits(adj[b] & sub):
+            if c != a and match[c] != -1:
+                for w in bits(adj[match[c]] & targets):
+                    return v, a, b, c, match[c], w
+    return None
+
+
+def flip(match, path):
+    """Augment ``match`` along ``path``, a tuple of vertices from one exposed
+    end to the other."""
+    for x, y in zip(path[::2], path[1::2]):
+        match[x], match[y] = y, x
+
+
 def reference_match_array(n, adj, sub, stop_on_exposed=False):
-    """Greedy pass and exposed-vertex pass over ``bits(sub)``."""
+    """Greedy pass and exposed-vertex pass over ``bits(sub)``: each exposed
+    vertex takes the short path to an exposed vertex above it, else runs the
+    reference blossom search."""
     match = [-1] * n
     for v in bits(sub):
         if match[v] == -1:
@@ -276,7 +300,11 @@ def reference_match_array(n, adj, sub, stop_on_exposed=False):
                     break
     for v in bits(sub):
         if match[v] == -1:
-            if not reference_find_augmenting(n, adj, sub, match, v) and stop_on_exposed:
+            targets = mask_of(w for w in bits(sub) if w > v and match[w] == -1)
+            path = reference_short_path(adj, sub, match, v, targets)
+            if path is not None:
+                flip(match, path)
+            elif not reference_find_augmenting(n, adj, sub, match, v) and stop_on_exposed:
                 return None
     return match
 
@@ -383,40 +411,6 @@ class TestEngineIdentity:
 
 
 class TestThreeEdgePath:
-    @settings(max_examples=400, deadline=None)
-    @given(random_graphs(), st.sets(st.integers(0, 13), max_size=2), st.data(), st.booleans())
-    def test_agrees_with_blossom_search(self, g, removed, data, drop_edge):
-        # a maximum matching of G - S less one edge xy, which stays in the
-        # graph or is deleted from it as in a witness repair, from every
-        # exposed root whose neighbours are all matched
-        sub = g.vertex_mask & ~mask_of(removed)
-        match = reference_match_array(g.n, g.adj, sub)
-        matched = [u for u in bits(sub) if match[u] > u]
-        if not matched:
-            return
-        x = data.draw(st.sampled_from(matched))
-        y = match[x]
-        match[x] = match[y] = -1
-        adj = list(g.adj)
-        if drop_edge:
-            adj[x] &= ~(1 << y)
-            adj[y] &= ~(1 << x)
-        exposed = mask_of(v for v in bits(sub) if match[v] == -1)
-        for root in bits(exposed):
-            if adj[root] & exposed:
-                continue
-            targets = exposed & ~(1 << root)
-            got = match.copy()
-            w = _augment_three(adj, sub, got, root, targets)
-            paths = [(a, t) for a in bits(adj[root] & sub) for t in bits(adj[match[a]] & targets)]
-            if w < 0:
-                assert not paths and got == match
-                continue
-            want = match.copy()
-            with watchdog():
-                assert _find_augmenting(g.n, adj, sub, want, root) == 0
-            assert got == want and paths
-
     def test_far_end_of_a_search_is_no_target(self):
         """A blossom search matches some exposed vertex above its root; a
         later three-edge path must not end there. This graph reaches that
@@ -436,64 +430,68 @@ def path_graph(n: int) -> Graph:
 
 class TestFiveEdgePath:
     def test_augments_along_p6(self):
-        # u - a = b - c = d - v with u, a, b, c, d, v = 0..5
+        # v - a = b - c = d - w with v, a, b, c, d, w = 0..5
         g = path_graph(6)
         match = [-1, 2, 1, 4, 3, -1]
-        assert _augment_five(g.adj, g.vertex_mask, match, 0, 5)
+        assert _augment(g.n, g.adj, g.vertex_mask, match, 0, 1 << 5)
         assert match == [1, 0, 3, 2, 5, 4]
 
     def test_no_path_on_p8(self):
-        # the only augmenting path from 0 to 7 has seven edges
+        # the only augmenting path from 0 to 7 has seven edges: the search takes it
         g = path_graph(8)
         match = [-1, 2, 1, 4, 3, 6, 5, -1]
-        assert not _augment_five(g.adj, g.vertex_mask, match, 0, 7)
-        assert match == [-1, 2, 1, 4, 3, 6, 5, -1]
+        assert _augment(g.n, g.adj, g.vertex_mask, match, 0, 1 << 7)
+        assert match == [1, 0, 3, 2, 5, 4, 7, 6]
 
-    def test_repairs_a_dropped_edge(self):
-        """With uv dropped from a perfect matching of G - S and deleted from
-        G, the helper takes the first five-edge path in its scan order, and
-        its result is a perfect matching of G - uv - S; with no such path it
-        leaves the match array unchanged."""
+
+class TestAugment:
+    def test_short_paths_then_search(self):
+        """From each exposed vertex of a maximum matching of G - S less up to
+        three edges, deleted from G, with every other exposed vertex a
+        target: where a three-edge path exists the step is the blossom
+        search's, else where a five-edge path exists it is the first one in
+        scan order, else it is the search's; a step that finds nothing
+        leaves the match array unchanged. G is a sparse random graph plus a
+        Hamiltonian path, so that long augmenting paths occur."""
         counts = Counter()
 
         @settings(max_examples=400, deadline=None, derandomize=True)
-        @given(st.integers(2, 14), st.sampled_from((0.3, 0.45, 0.6, 0.8)), st.integers(0, 2**32),
-               st.sets(st.integers(0, 13), max_size=4), st.data())
-        def check(n, p, seed, removed, data):
-            g = random_graph(n, p, seed)
+        @given(st.integers(6, 14), st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.6)), st.integers(0, 2**32),
+               st.sets(st.integers(0, 13), max_size=4), st.integers(1, 3), st.data())
+        def check(n, p, seed, removed, drops, data):
+            order = data.draw(st.permutations(range(n)))
+            g = graph_from_edges(n, random_graph(n, p, seed).edges() + list(zip(order, order[1:])))
             sub = g.vertex_mask & ~mask_of(removed)
             match = reference_match_array(g.n, g.adj, sub)
-            if not sub or any(match[x] == -1 for x in bits(sub)):
-                return
-            u = data.draw(st.sampled_from([x for x in bits(sub) if match[x] > x]))
-            v = match[u]
-            match[u] = match[v] = -1
             adj = list(g.adj)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            paths = [
-                (a, c)
-                for a in bits(adj[u] & sub)
-                for c in bits(adj[match[a]] & sub & ~(1 << a))
-                if match[c] != -1 and adj[v] >> match[c] & 1
-            ]
-            got = match.copy()
-            if not _augment_five(adj, sub, got, u, v):
-                assert not paths and got == match
-                counts["none"] += 1
-                return
-            a, c = paths[0]
-            b, d = match[a], match[c]
-            want = match.copy()
-            want[u], want[a], want[b], want[c], want[d], want[v] = a, u, c, b, v, d
-            assert got == want
-            for x in range(n):
-                y = got[x]
-                if sub >> x & 1:
-                    assert y != x and sub >> y & 1 and got[y] == x and adj[x] >> y & 1
-                else:
-                    assert y == -1
-            counts["repaired"] += 1
+            for _ in range(drops):
+                matched = [x for x in bits(sub) if match[x] > x]
+                if not matched:
+                    return
+                x = data.draw(st.sampled_from(matched))
+                y = match[x]
+                match[x] = match[y] = -1
+                adj[x] &= ~(1 << y)
+                adj[y] &= ~(1 << x)
+            for x in bits(sub):  # as the greedy pass: no two exposed vertices adjacent
+                for y in bits(adj[x] & sub):
+                    if match[x] == match[y] == -1:
+                        match[x], match[y] = y, x
+            exposed = mask_of(x for x in bits(sub) if match[x] == -1)
+            for root in bits(exposed):
+                targets = exposed & ~(1 << root)
+                got, want = match.copy(), match.copy()
+                found = _augment(g.n, adj, sub, got, root, targets)
+                with watchdog():
+                    assert found == (_find_augmenting(g.n, adj, sub, want, root) == 0)
+                path = reference_short_path(adj, sub, match, root, targets)
+                if path is not None and len(path) == 6:
+                    want = match.copy()
+                    flip(want, path)
+                assert got == want
+                for x in bits(sub):
+                    assert got[x] == -1 or (got[got[x]] == x and adj[x] >> got[x] & 1 and sub >> got[x] & 1)
+                counts[len(path) - 1 if path else "search found" if found else "search failed"] += 1
 
         check()
-        assert counts["repaired"] >= 20 and counts["none"] >= 20
+        assert all(counts[kind] >= 10 for kind in (3, 5, "search found", "search failed")), counts

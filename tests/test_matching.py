@@ -411,6 +411,40 @@ class TestEngineIdentity:
 
 
 class TestThreeEdgePath:
+    @settings(max_examples=400, deadline=None)
+    @given(random_graphs(), st.sets(st.integers(0, 13), max_size=2), st.data(), st.booleans())
+    def test_agrees_with_blossom_search(self, g, removed, data, drop_edge):
+        # a maximum matching of G - S less one edge xy, which stays in the
+        # graph or is deleted from it as in a witness repair, from every
+        # exposed root whose neighbours are all matched and that has a
+        # three-edge path to another exposed vertex
+        sub = g.vertex_mask & ~mask_of(removed)
+        match = reference_match_array(g.n, g.adj, sub)
+        matched = [u for u in bits(sub) if match[u] > u]
+        if not matched:
+            return
+        x = data.draw(st.sampled_from(matched))
+        y = match[x]
+        match[x] = match[y] = -1
+        adj = list(g.adj)
+        if drop_edge:
+            adj[x] &= ~(1 << y)
+            adj[y] &= ~(1 << x)
+        exposed = mask_of(v for v in bits(sub) if match[v] == -1)
+        for root in bits(exposed):
+            if adj[root] & exposed:
+                continue
+            targets = exposed & ~(1 << root)
+            paths = [(a, t) for a in bits(adj[root] & sub) for t in bits(adj[match[a]] & targets)]
+            if not paths:
+                continue
+            got = match.copy()
+            assert _augment(g.n, adj, sub, got, root, targets)
+            want = match.copy()
+            with watchdog():
+                assert _find_augmenting(g.n, adj, sub, want, root) == 0
+            assert got == want
+
     def test_far_end_of_a_search_is_no_target(self):
         """A blossom search matches some exposed vertex above its root; a
         later three-edge path must not end there. This graph reaches that
@@ -442,6 +476,68 @@ class TestFiveEdgePath:
         match = [-1, 2, 1, 4, 3, 6, 5, -1]
         assert _augment(g.n, g.adj, g.vertex_mask, match, 0, 1 << 7)
         assert match == [1, 0, 3, 2, 5, 4, 7, 6]
+
+    def test_repairs_a_dropped_edge(self):
+        """With uv dropped from a perfect matching of G - S and deleted from
+        G, the step takes the first three-edge path from u to v in its scan
+        order, else the first five-edge path; with neither it augments as
+        the search does. Its result is a perfect matching of G - uv - S, or the
+        unchanged match array when no augmenting path exists."""
+        counts = Counter()
+
+        @settings(max_examples=2000, deadline=None, derandomize=True)
+        @given(st.integers(2, 14), st.sampled_from((0.3, 0.45, 0.6, 0.8)), st.integers(0, 2**32),
+               st.sets(st.integers(0, 13), max_size=4), st.data())
+        def check(n, p, seed, removed, data):
+            g = random_graph(n, p, seed)
+            sub = g.vertex_mask & ~mask_of(removed)
+            match = reference_match_array(g.n, g.adj, sub)
+            if not sub or any(match[x] == -1 for x in bits(sub)):
+                return
+            u = data.draw(st.sampled_from([x for x in bits(sub) if match[x] > x]))
+            v = match[u]
+            match[u] = match[v] = -1
+            adj = list(g.adj)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+            three = [a for a in bits(adj[u] & sub) if adj[match[a]] >> v & 1]
+            paths = [
+                (a, c)
+                for a in bits(adj[u] & sub)
+                for c in bits(adj[match[a]] & sub & ~(1 << a))
+                if match[c] != -1 and adj[v] >> match[c] & 1
+            ]
+            got = match.copy()
+            found = _augment(g.n, adj, sub, got, u, 1 << v)
+            if three:
+                a = three[0]
+                b = match[a]
+                want = match.copy()
+                want[u], want[a], want[b], want[v] = a, u, v, b
+                assert found
+                counts["three"] += 1
+            elif paths:
+                a, c = paths[0]
+                b, d = match[a], match[c]
+                want = match.copy()
+                want[u], want[a], want[b], want[c], want[d], want[v] = a, u, c, b, v, d
+                assert found
+                counts["repaired"] += 1
+            else:
+                want = match.copy()
+                with watchdog():
+                    assert found == (_find_augmenting(g.n, adj, sub, want, u) == 0)
+                counts["none"] += 1
+            assert got == want
+            for x in range(n):
+                y = got[x]
+                if found and sub >> x & 1:
+                    assert y != x and sub >> y & 1 and got[y] == x and adj[x] >> y & 1
+                elif not sub >> x & 1:
+                    assert y == -1
+
+        check()
+        assert counts["three"] >= 20 and counts["repaired"] >= 20 and counts["none"] >= 20, counts
 
 
 class TestAugment:

@@ -70,8 +70,6 @@ from .configurations import (
     ConfigLabel,
     ConfigSignature,
     DegreeHypothesisError,
-    EdgePlacement,
-    IntersectionBounds,
     build_instance,
     check_intersection_bounds,
     classify,
@@ -80,7 +78,6 @@ from .configurations import (
     signature_table,
 )
 from .enumeration import (
-    CanonicalForm,
     SplitMix64,
     all_graphs,
     canonical_form,

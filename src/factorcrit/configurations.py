@@ -4,8 +4,9 @@ A 10-vertex graph h with no perfect matching, together with a designated
 non-edge e = uv such that h + e has a perfect matching and no vertex of
 degree <= 1, always admits a barrier witness X with |X| <= 4 whose removal
 leaves exactly |X| + 2 factor-critical components with u and v in distinct
-ones. The triple (|X|, component-size multiset, endpoint component sizes)
-then lands in a fixed fourteen-row table, labeled C1..C14.
+ones. The triple (|X|, component-size multiset, sizes of the components of
+u and v, which say where e sits) then lands in a fixed fourteen-row table,
+labeled C1..C14.
 
 Each row holds a label's signature and its bounds on |N̄[u] ∩ N̄[v]|. The
 one table is read by the classifier, by the builder of host graphs of order
@@ -51,63 +52,35 @@ class ConfigLabel(Enum):
     C14 = "C14"
 
 
-class EdgePlacement(Enum):
-    """Where the designated edge sits, by endpoint component sizes."""
-
-    TRIVIAL_TRIVIAL = "trivial-trivial"
-    TRIVIAL_TRIPLE = "trivial-3comp"
-    TRIVIAL_QUINTUPLE = "trivial-5comp"
-    TRIPLE_TRIPLE = "comp-comp(3,3)"
-    BETWEEN_TWO = "between-the-two-components"
-
-
 @dataclass(frozen=True)
 class ConfigSignature:
     x_size: int
     component_sizes: tuple[int, ...]  # ascending multiset, sums to 10 - x_size
-    placement: EdgePlacement
+    # sizes of the components of u and v, smaller first: where the edge sits
+    ends: tuple[int, int]
 
-
-_TT = EdgePlacement.TRIVIAL_TRIVIAL
-_T3 = EdgePlacement.TRIVIAL_TRIPLE
-_T5 = EdgePlacement.TRIVIAL_QUINTUPLE
-_P33 = EdgePlacement.TRIPLE_TRIPLE
-_B2 = EdgePlacement.BETWEEN_TWO
 
 # the paper's table, one row per label in label order: the signature, then
-# the bounds (lo, hi) on |N̄[u] ∩ N̄[v]| when every degree is at least n - 8
+# the bounds (lo, hi) on |N̄[u] ∩ N̄[v]| when every degree is at least n - 8;
+# with X empty the edge joins the only two components, so ends equals them
 _TABLE: dict[ConfigLabel, tuple[ConfigSignature, tuple[int, int]]] = {
-    ConfigLabel.C1: (ConfigSignature(0, (3, 7), _B2), (0, 5)),
-    ConfigLabel.C2: (ConfigSignature(0, (5, 5), _B2), (0, 5)),
-    ConfigLabel.C3: (ConfigSignature(1, (1, 1, 7), _TT), (7, 7)),
-    ConfigLabel.C4: (ConfigSignature(1, (1, 3, 5), _T5), (3, 5)),
-    ConfigLabel.C5: (ConfigSignature(1, (1, 3, 5), _T3), (5, 5)),
-    ConfigLabel.C6: (ConfigSignature(1, (3, 3, 3), _P33), (3, 5)),
-    ConfigLabel.C7: (ConfigSignature(2, (1, 1, 1, 5), _T5), (2, 5)),
-    ConfigLabel.C8: (ConfigSignature(2, (1, 1, 1, 5), _TT), (6, 7)),
-    ConfigLabel.C9: (ConfigSignature(2, (1, 1, 3, 3), _P33), (2, 5)),
-    ConfigLabel.C10: (ConfigSignature(2, (1, 1, 3, 3), _T3), (4, 5)),
-    ConfigLabel.C11: (ConfigSignature(2, (1, 1, 3, 3), _TT), (6, 7)),
-    ConfigLabel.C12: (ConfigSignature(3, (1, 1, 1, 1, 3), _TT), (5, 7)),
-    ConfigLabel.C13: (ConfigSignature(3, (1, 1, 1, 1, 3), _T3), (3, 5)),
-    ConfigLabel.C14: (ConfigSignature(4, (1, 1, 1, 1, 1, 1), _TT), (4, 7)),
-}
-
-# endpoint component sizes, smaller first, of each placement with X nonempty
-_ENDPOINT_SIZES: dict[EdgePlacement, tuple[int, int]] = {
-    _TT: (1, 1),
-    _T3: (1, 3),
-    _T5: (1, 5),
-    _P33: (3, 3),
-}
-# each label's endpoint component sizes, smaller first; with X empty the edge
-# joins the only two components (between-the-two), so they are those sizes
-_ENDS = {
-    label: _ENDPOINT_SIZES.get(sig.placement, sig.component_sizes)
-    for label, (sig, _) in _TABLE.items()
+    ConfigLabel.C1: (ConfigSignature(0, (3, 7), (3, 7)), (0, 5)),
+    ConfigLabel.C2: (ConfigSignature(0, (5, 5), (5, 5)), (0, 5)),
+    ConfigLabel.C3: (ConfigSignature(1, (1, 1, 7), (1, 1)), (7, 7)),
+    ConfigLabel.C4: (ConfigSignature(1, (1, 3, 5), (1, 5)), (3, 5)),
+    ConfigLabel.C5: (ConfigSignature(1, (1, 3, 5), (1, 3)), (5, 5)),
+    ConfigLabel.C6: (ConfigSignature(1, (3, 3, 3), (3, 3)), (3, 5)),
+    ConfigLabel.C7: (ConfigSignature(2, (1, 1, 1, 5), (1, 5)), (2, 5)),
+    ConfigLabel.C8: (ConfigSignature(2, (1, 1, 1, 5), (1, 1)), (6, 7)),
+    ConfigLabel.C9: (ConfigSignature(2, (1, 1, 3, 3), (3, 3)), (2, 5)),
+    ConfigLabel.C10: (ConfigSignature(2, (1, 1, 3, 3), (1, 3)), (4, 5)),
+    ConfigLabel.C11: (ConfigSignature(2, (1, 1, 3, 3), (1, 1)), (6, 7)),
+    ConfigLabel.C12: (ConfigSignature(3, (1, 1, 1, 1, 3), (1, 1)), (5, 7)),
+    ConfigLabel.C13: (ConfigSignature(3, (1, 1, 1, 1, 3), (1, 3)), (3, 5)),
+    ConfigLabel.C14: (ConfigSignature(4, (1, 1, 1, 1, 1, 1), (1, 1)), (4, 7)),
 }
 _BY_SIGNATURE = {
-    (sig.x_size, sig.component_sizes, _ENDS[label]): label for label, (sig, _) in _TABLE.items()
+    (sig.x_size, sig.component_sizes, sig.ends): label for label, (sig, _) in _TABLE.items()
 }
 
 
@@ -233,7 +206,7 @@ def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
     if n < 12:
         raise GraphError(f"host order {n} below 12")
     sig = _TABLE[label][0]
-    u_size, v_size = _ENDS[label]
+    u_size, v_size = sig.ends
     leftover_sizes = list(sig.component_sizes)
     leftover_sizes.remove(u_size)
     leftover_sizes.remove(v_size)
@@ -282,19 +255,10 @@ def core_graph(host: Graph, e: Edge) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntersectionBounds:
-    """Bounds on |N̄[u] ∩ N̄[v]| when every degree is at least n - 8."""
-
-    label: ConfigLabel
-    lo: int
-    hi: int
-
-
-def intersection_bounds(label: ConfigLabel) -> IntersectionBounds:
-    """Fixed per-label bounds; unstated sides are the universal 0 and 7."""
-    lo, hi = _TABLE[label][1]
-    return IntersectionBounds(label=label, lo=lo, hi=hi)
+def intersection_bounds(label: ConfigLabel) -> tuple[int, int]:
+    """Bounds (lo, hi) on |N̄[u] ∩ N̄[v]| when every degree is at least
+    n - 8; unstated sides are the universal 0 and 7."""
+    return _TABLE[label][1]
 
 
 class DegreeHypothesisError(ValueError):
@@ -314,5 +278,5 @@ def check_intersection_bounds(host: Graph, e: Edge, label: ConfigLabel) -> bool:
         )
     u, v = e
     count = common_nonneighborhood(host, u, v).bit_count()
-    b = intersection_bounds(label)
-    return b.lo <= count <= b.hi
+    lo, hi = intersection_bounds(label)
+    return lo <= count <= hi

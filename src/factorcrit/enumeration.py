@@ -16,7 +16,6 @@ filters applied before dedupe nor the choice of dedupe key change."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
@@ -29,13 +28,6 @@ from .graphs import (
     graph6_lines,
     parse_graph6,
 )
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Relabeling-invariant encoding: two graphs share it iff isomorphic."""
-
-    encoding: bytes
 
 
 # _SPREAD[row] moves bit w of a row (n <= 10) to vertex w's 16-bit column field
@@ -133,16 +125,17 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
     return graph6_lines((_trusted(n, tuple(rows)),), n)[:-1]
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Lexicographically minimal graph6 encoding over all relabelings (n <= 10)."""
+def canonical_form(g: Graph) -> bytes:
+    """Lexicographically minimal graph6 encoding over all relabelings
+    (n <= 10), as bytes: two graphs share it iff they are isomorphic."""
     if g.n > 10:
         raise GraphError("canonical form search limited to n <= 10")
-    return CanonicalForm(_canonical_bytes(g.n, g.adj))
+    return _canonical_bytes(g.n, g.adj)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy of ``g``."""
-    return parse_graph6(canonical_form(g).encoding)
+    return parse_graph6(canonical_form(g))
 
 
 # ---------------------------------------------------------------------------

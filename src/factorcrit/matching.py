@@ -183,11 +183,12 @@ def _match_array(n: int, adj: tuple[int, ...], sub: int, stop_on_exposed: bool =
             exposed |= bit
     # exposed vertices are independent after the greedy pass and stay so, and
     # a vertex left exposed by a stuck search is never the end of an
-    # augmenting path later, so the targets are the exposed vertices above v
+    # augmenting path later, so the targets are the exposed vertices above v;
+    # the last exposed vertex has none and stays exposed without a search
     while exposed:
         bit = exposed & -exposed
         exposed ^= bit
-        if _augment(n, adj, sub, match, bit.bit_length() - 1, exposed):
+        if exposed and _augment(n, adj, sub, match, bit.bit_length() - 1, exposed):
             rest = exposed  # one exposed w above v is matched now: drop it
             while match[(rest & -rest).bit_length() - 1] == -1:
                 rest &= rest - 1

@@ -371,7 +371,7 @@ def test_criterion_10_enumeration_counts(graphs_by_order):
             problems.append(f"dedupe oracle n={n}: {len(seen)}")
     dup = 0
     for n in range(4, 8):
-        forms = {canonical_form(g).encoding for g in graphs_by_order[n]}
+        forms = {canonical_form(g) for g in graphs_by_order[n]}
         if len(forms) != len(graphs_by_order[n]):
             dup += 1
         for g in graphs_by_order[n]:

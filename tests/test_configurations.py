@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,6 @@ from factorcrit import (
     ClassificationError,
     ConfigLabel,
     DegreeHypothesisError,
-    EdgePlacement,
     GraphError,
     add_edge,
     bits,
@@ -74,7 +74,7 @@ class TestSignatureTable:
         rows = signature_table()
         assert len(rows) == 14
         assert len({label for label, _ in rows}) == 14
-        keys = {(s.x_size, s.component_sizes, s.placement) for _, s in rows}
+        keys = {(s.x_size, s.component_sizes, s.ends) for _, s in rows}
         assert len(keys) == 14
 
     def test_row_structure(self):
@@ -83,12 +83,21 @@ class TestSignatureTable:
             assert sum(sig.component_sizes) == 10 - sig.x_size
             assert all(s % 2 == 1 for s in sig.component_sizes)
 
+    def test_ends_are_two_component_sizes(self):
+        # build_instance removes both ends from the component sizes, so they
+        # are a sub-multiset of them; with X empty the edge joins the only two
+        for _, sig in signature_table():
+            assert sig.ends == tuple(sorted(sig.ends))
+            assert not Counter(sig.ends) - Counter(sig.component_sizes)
+            if sig.x_size == 0:
+                assert sig.ends == sig.component_sizes
+
     def test_last_row(self):
         table = dict(signature_table())
         sig = table[ConfigLabel.C14]
         assert sig.x_size == 4
         assert sig.component_sizes == (1,) * 6
-        assert sig.placement is EdgePlacement.TRIVIAL_TRIVIAL
+        assert sig.ends == (1, 1)
 
 
 class TestClassify:
@@ -256,8 +265,7 @@ class TestIntersectionBounds:
             ConfigLabel.C13: (3, 5), ConfigLabel.C14: (4, 7),
         }
         for label, (lo, hi) in expected.items():
-            b = intersection_bounds(label)
-            assert (b.lo, b.hi) == (lo, hi)
+            assert intersection_bounds(label) == (lo, hi)
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_built_hosts_conform(self, label):

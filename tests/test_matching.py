@@ -18,13 +18,16 @@ from factorcrit import (
     cycle_graph,
     deficiency,
     every_perfect_matching_contains,
+    gallai_edmonds,
     graph_from_edges,
     has_perfect_matching,
     mask_of,
     max_matching,
     odd_components,
+    parse_graph6,
     random_graph,
 )
+from factorcrit import matching
 from factorcrit.matching import _augment, _find_augmenting, _match_array
 from conftest import disjoint_cliques, petersen
 
@@ -362,6 +365,16 @@ class TestEngineIdentity:
             got = _match_array(g.n, g.adj, sub, stop_on_exposed)
         assert got == reference_match_array(g.n, g.adj, sub, stop_on_exposed)
 
+    def test_match_array_five_edge_choice(self):
+        # random_graph(12, 0.25, 19): one of its five-edge steps has two
+        # choices of c, and taking the highest gives another maximum matching
+        g = parse_graph6("KO__?Wr__DcG")
+        assert g == random_graph(12, 0.25, 19)
+        want = [4, -1, 5, 8, 0, 2, 9, 11, 3, 6, -1, 7]
+        assert reference_match_array(g.n, g.adj, g.vertex_mask) == want
+        with watchdog():
+            assert _match_array(g.n, g.adj, g.vertex_mask) == want
+
     @settings(max_examples=300, deadline=None)
     @given(random_graphs(), st.sets(st.integers(0, 13), max_size=2))
     def test_single_repairs(self, g, removed):
@@ -591,3 +604,23 @@ class TestAugment:
 
         check()
         assert all(counts[kind] >= 10 for kind in (3, 5, "search found", "search failed")), counts
+
+    def test_match_array_steps_only_towards_targets(self, monkeypatch):
+        # the last exposed vertex has no exposed vertex above it to reach,
+        # so _match_array leaves it exposed without trying a step from it
+        targets = []
+
+        def spy(n, adj, sub, match, v, to):
+            targets.append(to)
+            return _augment(n, adj, sub, match, v, to)
+
+        monkeypatch.setattr(matching, "_augment", spy)
+        deficient = 0
+        for seed in range(200):
+            g = random_graph(10, (0.2, 0.25, 0.3, 0.35)[seed % 4], seed)
+            if deficiency(g):
+                deficient += 1
+                max_matching(g)
+                gallai_edmonds(g)
+        assert deficient >= 100 and len(targets) >= 100
+        assert 0 not in targets

@@ -1,9 +1,9 @@
 """Verification toolkit for matching theory on small graphs.
 
-Bitset-backed graphs, blossom matching with brute-force oracles,
-factor-criticality and barrier decompositions, the fourteen-configuration
-taxonomy of deficient 10-vertex graphs, isomorph-free enumeration, and a
-CLI for minimum-degree conjecture sweeps.
+Bitset-backed graphs, blossom matching, factor-criticality and barrier
+decompositions, the fourteen-configuration taxonomy of deficient 10-vertex
+graphs, isomorph-free enumeration, and a CLI for minimum-degree conjecture
+sweeps.
 """
 
 from .graphs import (
@@ -14,16 +14,11 @@ from .graphs import (
     VertexSet,
     add_edge,
     bits,
-    closed_nonneighborhood,
     common_nonneighborhood,
-    complete_graph,
-    cycle_graph,
     delete_edge,
     delete_vertices,
-    delete_vertices_with_map,
     graph6_lines,
     graph_from_edges,
-    is_connected,
     is_k_connected,
     is_k_edge_connected,
     mask_of,
@@ -33,13 +28,9 @@ from .graphs import (
 )
 from .matching import (
     Matching,
-    all_perfect_matchings,
-    brute_force_max_matching,
     deficiency,
-    every_perfect_matching_contains,
     has_perfect_matching,
     max_matching,
-    odd_components,
 )
 from .decomp import (
     BarrierWitness,
@@ -55,7 +46,6 @@ from .criticality import (
     NotKFactorCriticalError,
     check_connectivity_properties,
     is_k_factor_critical,
-    is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
     kfc_and_minimal,
     kfc_and_minimal_batch,
@@ -75,13 +65,11 @@ from .configurations import (
     classify,
     core_graph,
     intersection_bounds,
-    signature_table,
 )
 from .enumeration import (
     SplitMix64,
     all_graphs,
     canonical_form,
-    canonical_graph,
     random_graph,
     read_graph6_stream,
 )

@@ -84,11 +84,6 @@ _BY_SIGNATURE = {
 }
 
 
-def signature_table() -> list[tuple[ConfigLabel, ConfigSignature]]:
-    """The fixed fourteen-row table, in label order."""
-    return [(label, sig) for label, (sig, _) in _TABLE.items()]
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ from .graphs import (
     Graph,
     GraphError,
     VertexSet,
-    _components_masked,
     _k_subsets_ascending,
     _pack_rows,
     _row_bytes,
@@ -172,23 +171,6 @@ def is_k_factor_critical(g: Graph, k: int) -> tuple[bool, VertexSet | None]:
         return False, None
     failing = _first_failing_subset(g.n, g.adj, k)
     return (failing is None), failing
-
-
-def is_k_factor_critical_via_odd_components(g: Graph, k: int) -> bool:
-    """Oracle path: C_o(G-B) <= |B| - k for every B with |B| >= k (n <= 10)."""
-    if g.n > 10:
-        raise GraphError("odd-component sweep limited to n <= 10")
-    _check_k(g, k)
-    adj = g.adj
-    full = g.vertex_mask
-    for b in range(1 << g.n):
-        size = b.bit_count()
-        if size < k:
-            continue
-        comps = _components_masked(adj, full & ~b)
-        if sum(c.bit_count() & 1 for c in comps) > size - k:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -133,11 +133,6 @@ def canonical_form(g: Graph) -> bytes:
     return _canonical_bytes(g.n, g.adj)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of ``g``."""
-    return parse_graph6(canonical_form(g))
-
-
 # ---------------------------------------------------------------------------
 # exhaustive generation
 # ---------------------------------------------------------------------------

@@ -68,32 +68,37 @@ class Graph:
     """Simple undirected graph with adjacency bitmasks.
 
     ``adj[v]`` holds the neighbor set of ``v``. Instances are immutable.
-    Direct construction validates: adjacency must be symmetric, irreflexive,
-    and confined to bits below ``n``. :func:`parse_graph6` and
-    :func:`graph_from_edges` check their own input instead; every graph the
-    package derives from a valid one (deletions, additions, generators) is
-    symmetric by construction and skips the check. The empty graph
-    (``n == 0``) is permitted so that vertex deletion stays total.
+    Direct construction stores ``adj`` as a tuple and validates it: one int
+    row per vertex, symmetric, irreflexive, and confined to bits below
+    ``n``. :func:`parse_graph6` and :func:`graph_from_edges` check their own
+    input instead; every graph the package derives from a valid one
+    (deletions, additions, generators) is symmetric by construction and
+    skips the check. The empty graph (``n == 0``) is permitted so that
+    vertex deletion stays total.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        adj = tuple(self.adj)  # a caller's list would leave the graph mutable and unhashable
+        object.__setattr__(self, "adj", adj)
         n = self.n
         if not 0 <= n <= MAX_VERTICES:
             raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        if len(self.adj) != n:
+        if len(adj) != n:
             raise GraphError("adjacency length does not match vertex count")
         full = (1 << n) - 1
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
+            if not isinstance(row, int):
+                raise GraphError(f"adjacency of {v} is a {type(row).__name__}, not an int")
             if row & ~full:
                 raise GraphError(f"adjacency of {v} has bits at or above {n}")
             if row >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             for u in bits(row):
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
     @property
@@ -142,17 +147,6 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return _trusted(n, tuple(rows))
-
-
-def complete_graph(n: int) -> Graph:
-    if not 0 <= n <= MAX_VERTICES:
-        raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    full = (1 << n) - 1
-    return _trusted(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def cycle_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +331,15 @@ def to_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def closed_nonneighborhood(g: Graph, x: int) -> VertexSet:
-    """Vertices that are neither ``x`` nor adjacent to it."""
-    if not 0 <= x < g.n:
-        raise GraphError(f"vertex {x} outside 0..{g.n - 1}")
-    return g.vertex_mask & ~(g.adj[x] | (1 << x))
-
-
 def common_nonneighborhood(g: Graph, u: int, v: int) -> VertexSet:
-    """Intersection of the closed non-neighborhoods of ``u`` and ``v``."""
+    """Vertices that are neither ``u`` nor ``v`` nor adjacent to either: the
+    intersection of their closed non-neighborhoods."""
     if u == v:
         raise GraphError("common non-neighborhood needs two distinct vertices")
-    return closed_nonneighborhood(g, u) & closed_nonneighborhood(g, v)
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise GraphError(f"vertex {x} outside 0..{g.n - 1}")
+    return g.vertex_mask & ~(g.adj[u] | g.adj[v] | 1 << u | 1 << v)
 
 
 def min_degree(g: Graph) -> int:
@@ -360,11 +351,6 @@ def min_degree(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # mutation by copy
 # ---------------------------------------------------------------------------
-
-
-def delete_vertices(g: Graph, s: VertexSet) -> Graph:
-    """Induced subgraph on V minus ``s``; survivors relabeled densely."""
-    return delete_vertices_with_map(g, s)[0]
 
 
 def _delete_vertex_rows(n: int, adj: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -380,8 +366,9 @@ def _delete_vertex_rows(n: int, adj: tuple[int, ...], v: int) -> tuple[int, ...]
     return tuple(rows)
 
 
-def delete_vertices_with_map(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
-    """Like :func:`delete_vertices`, also returning the old->new index map."""
+def delete_vertices(g: Graph, s: VertexSet) -> Graph:
+    """Induced subgraph on V minus ``s``; survivors relabeled densely, in
+    ascending order."""
     if s & ~g.vertex_mask:
         raise GraphError("deletion set contains vertices outside the graph")
     n, rows = g.n, g.adj
@@ -389,7 +376,7 @@ def delete_vertices_with_map(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, i
     for v in reversed(list(bits(s))):
         rows = _delete_vertex_rows(n, rows, v)
         n -= 1
-    return _trusted(n, rows), {o: i for i, o in enumerate(bits(g.vertex_mask & ~s))}
+    return _trusted(n, rows)
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
@@ -442,10 +429,6 @@ def _components_masked(adj: tuple[int, ...], sub: int) -> list[int]:
         comps.append(comp)
         rem &= ~comp
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(_components_masked(g.adj, g.vertex_mask)) <= 1
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

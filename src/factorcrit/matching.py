@@ -1,21 +1,19 @@
-"""Maximum matching, perfect-matching predicates, and odd components.
+"""Maximum matching, perfect-matching predicates, and deficiency.
 
-The production engine is an array-based blossom algorithm working directly
-on vertex bitmasks, so induced subgraphs never need relabeling; each search
-keeps its alternating tree in a vertex mask and contracts blossoms in it
-alone. Every augmenting step (:func:`_augment`), in a maximum matching and
-in the witness repairs of ``criticality``, first tries a three-edge path,
-then a five-edge path, each found with a few bit operations, and runs the
-blossom search only when neither exists. A pruned exhaustive recursion
-(:func:`brute_force_max_matching`) and a full perfect-matching enumerator
-serve as independent oracles for tests.
+The engine is an array-based blossom algorithm working directly on vertex
+bitmasks, so induced subgraphs never need relabeling; each search keeps its
+alternating tree in a vertex mask and contracts blossoms in it alone. Every
+augmenting step (:func:`_augment`), in a maximum matching and in the
+witness repairs of ``criticality``, first tries a three-edge path, then a
+five-edge path, each found with a few bit operations, and runs the blossom
+search only when neither exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, GraphError, VertexSet, _components_masked, delete_edge
+from .graphs import Edge, Graph, VertexSet
 
 
 @dataclass(frozen=True)
@@ -232,95 +230,3 @@ def deficiency(g: Graph) -> int:
     """Number of vertices missed by a maximum matching."""
     return g.n - 2 * _matching_size(g.n, g.adj, g.vertex_mask)
 
-
-# ---------------------------------------------------------------------------
-# oracles
-# ---------------------------------------------------------------------------
-
-
-def brute_force_max_matching(g: Graph) -> int:
-    """Maximum matching size by pruned exhaustive recursion (n <= 16)."""
-    if g.n > 16:
-        raise GraphError("brute-force matching limited to n <= 16")
-    adj = g.adj
-    best = 0
-
-    def rec(mask: int, acc: int) -> None:
-        nonlocal best
-        if acc > best:
-            best = acc
-        if acc + mask.bit_count() // 2 <= best:
-            return
-        # drop vertices with no available partner
-        while mask:
-            bit = mask & -mask
-            if adj[bit.bit_length() - 1] & mask & ~bit:
-                break
-            mask ^= bit
-        if not mask:
-            return
-        if acc + mask.bit_count() // 2 <= best:
-            return
-        vbit = mask & -mask
-        rest = mask ^ vbit
-        row = adj[vbit.bit_length() - 1] & rest
-        while row:
-            ubit = row & -row
-            row ^= ubit
-            rec(rest ^ ubit, acc + 1)
-        rec(rest, acc)  # leave the lowest vertex unmatched
-
-    rec(g.vertex_mask, 0)
-    return best
-
-
-def all_perfect_matchings(g: Graph) -> list[Matching]:
-    """Every perfect matching, enumerated deterministically (n <= 14, even)."""
-    if g.n > 14:
-        raise GraphError("perfect-matching enumeration limited to n <= 14")
-    if g.n % 2:
-        raise GraphError("odd-order graph has no perfect matching")
-    adj = g.adj
-    out: list[Matching] = []
-    acc: list[Edge] = []
-    full = g.vertex_mask
-
-    def rec(mask: int) -> None:
-        if not mask:
-            out.append(Matching(tuple(acc), full))
-            return
-        vbit = mask & -mask
-        v = vbit.bit_length() - 1
-        row = adj[v] & mask & ~vbit
-        while row:
-            ubit = row & -row
-            row ^= ubit
-            acc.append((v, ubit.bit_length() - 1))
-            rec(mask ^ vbit ^ ubit)
-            acc.pop()
-
-    rec(full)
-    return out
-
-
-def every_perfect_matching_contains(g: Graph, e: tuple[int, int]) -> bool:
-    """True iff g has a perfect matching and every one of them uses ``e``.
-
-    Decided by two matching calls: a perfect matching must exist, and none
-    may survive the removal of ``e``.
-    """
-    without = delete_edge(g, e)
-    return has_perfect_matching(g) and not has_perfect_matching(without)
-
-
-# ---------------------------------------------------------------------------
-# odd components
-# ---------------------------------------------------------------------------
-
-
-def odd_components(g: Graph, x: VertexSet) -> tuple[int, list[VertexSet]]:
-    """Odd-order components of g - x, ordered by smallest original label."""
-    if x & ~g.vertex_mask:
-        raise GraphError("removal set contains vertices outside the graph")
-    comps = [c for c in _components_masked(g.adj, g.vertex_mask & ~x) if c.bit_count() % 2]
-    return len(comps), comps

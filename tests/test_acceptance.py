@@ -18,9 +18,7 @@ import pytest
 from factorcrit import (
     ConfigLabel,
     add_edge,
-    all_perfect_matchings,
     bits,
-    brute_force_max_matching,
     build_instance,
     canonical_form,
     check_connectivity_properties,
@@ -32,18 +30,20 @@ from factorcrit import (
     delete_vertices,
     has_perfect_matching,
     is_k_factor_critical,
-    is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
     max_matching,
     min_degree,
     minimality_certificate,
-    odd_components,
     parse_graph6,
     random_graph,
     to_graph6,
 )
 from factorcrit.cli import main
 from factorcrit.enumeration import _canonical_bytes
+from oracles import (
+    all_perfect_matchings, brute_force_max_matching, is_k_factor_critical_via_odd_components,
+    odd_components,
+)
 
 SWEEP_PAIRS = [(4, 2), (5, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 2), (8, 4), (8, 6)]
 SAMPLE_COUNT = 1050

@@ -10,11 +10,12 @@ import pytest
 
 from factorcrit import (
     Graph, Graph6Error, GraphError, add_edge, all_graphs, check_connectivity_properties, classify,
-    complete_graph, core_graph, cycle_graph, find_barrier_witnesses, is_k_connected,
-    is_k_edge_connected, min_degree, odd_components, parse_graph6, random_graph,
+    core_graph, find_barrier_witnesses, is_k_connected, is_k_edge_connected, min_degree, parse_graph6,
+    random_graph,
 )
 from factorcrit.graphs import normalize_edge
 from conftest import disjoint_cliques
+from oracles import complete_graph, cycle_graph
 
 C5 = cycle_graph(5)
 
@@ -23,13 +24,12 @@ CHECKS = {
     "Graph order": (lambda: Graph(65, (0,) * 65), GraphError, r"vertex count 65 outside 0\.\.64"),
     "Graph row count": (lambda: Graph(3, (0, 0)), GraphError, r"adjacency length does not match"),
     "Graph self-loop": (lambda: Graph(2, (0b01, 0b00)), GraphError, r"self-loop at vertex 0"),
-    "complete_graph order": (lambda: complete_graph(65), GraphError, r"vertex count 65 outside"),
+    "Graph row type": (lambda: Graph(2, (2.0, 1)), GraphError, r"adjacency of 0 is a float, not an int"),
     "graph6 8-byte prefix": (lambda: parse_graph6("~~????"), Graph6Error, r"8-byte size prefix"),
     "min_degree of the empty graph": (lambda: min_degree(Graph(0, ())), GraphError, r"empty graph"),
     "add_edge endpoint": (lambda: add_edge(C5, (0, 5)), GraphError, r"edge \(0,5\) has endpoint outside 0\.\.4"),
     "negative vertex connectivity": (lambda: is_k_connected(C5, -1), GraphError, r"must be nonnegative"),
     "negative edge connectivity": (lambda: is_k_edge_connected(C5, -1), GraphError, r"must be nonnegative"),
-    "odd_components X outside": (lambda: odd_components(C5, 1 << 5), GraphError, r"outside the graph"),
     "barrier search above 12": (
         lambda: find_barrier_witnesses(complete_graph(13), 4), GraphError, r"limited to n <= 12"
     ),

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcrit import (
-    Graph6Error, all_graphs, complete_graph, cycle_graph, graph6_lines, graph_from_edges, kfc_and_minimal,
+    Graph6Error, all_graphs, canonical_form, delete_vertices, graph6_lines, graph_from_edges, kfc_and_minimal,
     min_degree, parse_graph6, read_graph6_stream, to_graph6,
 )
 from factorcrit import cli, kfc_and_minimal_batch
@@ -24,6 +24,7 @@ from factorcrit.cli import main
 from factorcrit.criticality import _batch_kernel, _edge_lanes
 from factorcrit.enumeration import _representatives
 from conftest import disjoint_cliques
+from oracles import complete_graph, cycle_graph
 from test_golden import CASES, Digest, run_cli
 
 K4 = "C~"
@@ -45,6 +46,36 @@ def favaron_violations(kernel) -> tuple[int, int]:
             pairs += max(0, n - 2)
             violations += sum((kfc[k] & ~kfc[k - 2]).bit_count() for k in range(2, n))
     return pairs, violations
+
+
+def deletion_violations(kernel) -> tuple[int, int]:
+    """(deletions, violations) over the cached batches of orders 2..8: for
+    every k >= 1 with n + k even, each distinct G - v of a graph G that
+    ``kernel`` decides k-factor-critical, and how many of them are not among
+    the (k - 1)-factor-critical classes of order n - 1 that ``kernel`` finds
+    (at k - 1 = 0, the perfectly matchable ones)."""
+    def kfc_classes(n: int, k: int) -> list:
+        out = []
+        for classes, lanes in cli._sweep_batches(n):
+            kfc = kernel(lanes, n, k, len(classes))[0]
+            out += [g for i, g in enumerate(classes) if kfc >> i & 1]
+        return out
+
+    deletions = violations = 0
+    for n in range(2, 9):
+        for k in range(2 - n % 2, n, 2):
+            below = {canonical_form(h) for h in kfc_classes(n - 1, k - 1)}
+            seen = {delete_vertices(g, 1 << v) for g in kfc_classes(n, k) for v in range(n)}
+            deletions += len(seen)
+            violations += sum(canonical_form(h) not in below for h in seen)
+    return deletions, violations
+
+
+def stray_kernel(lanes, n, k, count):
+    """``_batch_kernel``, except that it also calls the first order-8 class,
+    the empty graph, 4-factor-critical."""
+    kfc, minimal = _batch_kernel(lanes, n, k, count)
+    return (kfc | 1, minimal) if (n, k) == (8, 4) and lanes is cli._sweep_batches(8)[0][1] else (kfc, minimal)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -598,13 +629,17 @@ class TestVerify:
         assert favaron_violations(_batch_kernel) == (39, 0)
 
     def test_a_stray_kfc_bit_breaks_the_inclusion(self):
-        # a kernel that also calls the first order-8 class, the empty graph,
-        # 4-factor-critical: that graph is not 2-factor-critical
-        def stray(lanes, n, k, count):
-            kfc, minimal = _batch_kernel(lanes, n, k, count)
-            return (kfc | 1, minimal) if (n, k) == (8, 4) and lanes is cli._sweep_batches(8)[0][1] else (kfc, minimal)
+        # the empty graph of order 8 is not 2-factor-critical
+        assert favaron_violations(stray_kernel) == (39, 1)
 
-        assert favaron_violations(stray) == (39, 1)
+    def test_kfc_deletions_are_one_below(self):
+        # G - v is (k - 1)-factor-critical for every vertex v of a
+        # k-factor-critical graph G
+        assert deletion_violations(_batch_kernel) == (6890, 0)
+
+    def test_a_stray_kfc_bit_breaks_the_deletions(self):
+        # the empty graph of order 7 is not 3-factor-critical
+        assert deletion_violations(stray_kernel) == (6891, 1)
 
     def test_batch_kernel_leaves_its_lanes_unchanged(self):
         graphs = cli._sweep_batches(8)[0][0]

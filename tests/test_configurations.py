@@ -16,7 +16,6 @@ from factorcrit import (
     check_intersection_bounds,
     classify,
     common_nonneighborhood,
-    complete_graph,
     core_graph,
     deficiency,
     delete_edge,
@@ -28,13 +27,12 @@ from factorcrit import (
     is_factor_critical,
     mask_of,
     min_degree,
-    odd_components,
     parse_graph6,
     random_graph,
-    signature_table,
 )
 from factorcrit import configurations
 from conftest import disjoint_cliques, petersen
+from oracles import complete_graph, configuration_rows, odd_components
 
 ALL_LABELS = list(ConfigLabel)
 
@@ -71,14 +69,14 @@ def two_cliques_with_gap(a: int, b: int):
 
 class TestSignatureTable:
     def test_fourteen_distinct_rows(self):
-        rows = signature_table()
+        rows = [(label, sig) for label, (sig, _) in configurations._TABLE.items()]
         assert len(rows) == 14
         assert len({label for label, _ in rows}) == 14
         keys = {(s.x_size, s.component_sizes, s.ends) for _, s in rows}
         assert len(keys) == 14
 
     def test_row_structure(self):
-        for _, sig in signature_table():
+        for sig, _ in configurations._TABLE.values():
             assert len(sig.component_sizes) == sig.x_size + 2
             assert sum(sig.component_sizes) == 10 - sig.x_size
             assert all(s % 2 == 1 for s in sig.component_sizes)
@@ -86,15 +84,23 @@ class TestSignatureTable:
     def test_ends_are_two_component_sizes(self):
         # build_instance removes both ends from the component sizes, so they
         # are a sub-multiset of them; with X empty the edge joins the only two
-        for _, sig in signature_table():
+        for sig, _ in configurations._TABLE.values():
             assert sig.ends == tuple(sorted(sig.ends))
             assert not Counter(sig.ends) - Counter(sig.component_sizes)
             if sig.x_size == 0:
                 assert sig.ends == sig.component_sizes
 
+    def test_rows_follow_from_the_rule(self):
+        # configuration_rows derives signatures and bounds without the table
+        table = {
+            (sig.x_size, sig.component_sizes, sig.ends): bounds for sig, bounds in configurations._TABLE.values()
+        }
+        assert configuration_rows(10) == table
+        # at core order 12 the rule gives 24 signatures, by |X| = 0..5
+        assert Counter(x for x, _, _ in configuration_rows(12)) == Counter({0: 2, 1: 6, 2: 8, 3: 5, 4: 2, 5: 1})
+
     def test_last_row(self):
-        table = dict(signature_table())
-        sig = table[ConfigLabel.C14]
+        sig, _ = configurations._TABLE[ConfigLabel.C14]
         assert sig.x_size == 4
         assert sig.component_sizes == (1,) * 6
         assert sig.ends == (1, 1)

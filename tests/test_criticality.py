@@ -12,18 +12,13 @@ from factorcrit import (
     GraphError,
     NotKFactorCriticalError,
     SplitMix64,
-    all_perfect_matchings,
-    brute_force_max_matching,
     check_connectivity_properties,
-    complete_graph,
-    cycle_graph,
     delete_edge,
     delete_vertices,
     graph_from_edges,
     is_k_connected,
     is_k_edge_connected,
     is_k_factor_critical,
-    is_k_factor_critical_via_odd_components,
     is_minimal_kfc,
     kfc_and_minimal,
     kfc_and_minimal_batch,
@@ -39,6 +34,10 @@ from factorcrit.cli import main
 from factorcrit.criticality import _edge_deletable, _first_failing_subset, _Witnesses
 from factorcrit.matching import _augment
 from conftest import disjoint_cliques, petersen
+from oracles import (
+    all_perfect_matchings, brute_force_max_matching, complete_graph, cycle_graph,
+    is_k_factor_critical_via_odd_components,
+)
 
 
 class TestKFactorCritical:

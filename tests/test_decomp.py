@@ -11,25 +11,22 @@ from factorcrit import (
     Graph,
     GraphError,
     all_graphs,
-    brute_force_max_matching,
-    complete_graph,
-    cycle_graph,
     deficiency,
     delete_vertices,
-    delete_vertices_with_map,
     find_barrier_witnesses,
     gallai_edmonds,
     graph_from_edges,
     has_perfect_matching,
-    is_connected,
     is_factor_critical,
     mask_of,
     min_degree,
-    odd_components,
     random_graph,
 )
 from factorcrit.graphs import _components_masked, bits
 from conftest import bowtie, disjoint_cliques
+from oracles import (
+    brute_force_max_matching, complete_graph, cycle_graph, is_connected, odd_components,
+)
 
 STAR = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
 P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -129,7 +126,7 @@ class TestGallaiEdmonds:
         # components of G[D] are factor-critical; G[C] has a perfect matching
         d_comps = odd_components(g, g.vertex_mask & ~ge.d)[1]
         for comp in d_comps:
-            keep, remap = delete_vertices_with_map(g, g.vertex_mask & ~comp)
+            keep = delete_vertices(g, g.vertex_mask & ~comp)
             assert is_factor_critical(keep)
         c_graph = delete_vertices(g, g.vertex_mask & ~ge.c)
         assert has_perfect_matching(c_graph)

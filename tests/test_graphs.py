@@ -12,13 +12,9 @@ from factorcrit import (
     add_edge,
     all_graphs,
     bits,
-    closed_nonneighborhood,
     common_nonneighborhood,
-    complete_graph,
-    cycle_graph,
     delete_edge,
     delete_vertices,
-    delete_vertices_with_map,
     graph6_lines,
     graph_from_edges,
     is_k_connected,
@@ -32,6 +28,7 @@ from factorcrit import (
 from factorcrit.cli import SWEEP_CHUNK
 from factorcrit.graphs import _pack_rows, _rows_min_degrees
 from conftest import disjoint_cliques, petersen
+from oracles import complete_graph, cycle_graph
 
 
 def random_graph_strategy(max_n=64):
@@ -87,6 +84,13 @@ class TestConstruction:
     def test_rejects_high_bits(self):
         with pytest.raises(GraphError):
             Graph(2, (0b100, 0b000))
+
+    def test_list_rows_are_copied_to_a_tuple(self):
+        rows = [0b10, 0b01]
+        g = Graph(2, rows)
+        assert g == Graph(2, (0b10, 0b01)) and hash(g) == hash(Graph(2, (0b10, 0b01)))
+        rows[0] = 0
+        assert g.adj == (0b10, 0b01) and g.has_edge(0, 1)
 
 
 class TestGraph6:
@@ -217,17 +221,20 @@ class TestGraph6Lines:
 
 class TestNeighborhoods:
     def test_complete_graph_empty(self):
-        assert closed_nonneighborhood(complete_graph(4), 0) == 0
+        g = complete_graph(4)
+        assert all(common_nonneighborhood(g, u, v) == 0 for u in range(4) for v in range(4) if u != v)
 
     def test_cycle(self):
-        assert closed_nonneighborhood(cycle_graph(5), 0) == mask_of([2, 3])
+        assert common_nonneighborhood(cycle_graph(6), 0, 1) == mask_of([3, 4])
 
     def test_single_vertex(self):
-        assert closed_nonneighborhood(graph_from_edges(1, []), 0) == 0
+        # with no edges every third vertex misses both
+        assert common_nonneighborhood(graph_from_edges(3, []), 0, 2) == mask_of([1])
 
     def test_out_of_range(self):
-        with pytest.raises(GraphError):
-            closed_nonneighborhood(cycle_graph(5), 5)
+        for u, v in ((5, 0), (0, 5)):
+            with pytest.raises(GraphError, match="vertex 5 outside 0..4"):
+                common_nonneighborhood(cycle_graph(5), u, v)
 
     def test_common_cycle(self):
         assert common_nonneighborhood(cycle_graph(5), 0, 1) == mask_of([3])
@@ -248,12 +255,14 @@ class TestNeighborhoods:
     def test_size_identity(self, spec):
         n, pairs = spec
         g = graph_from_edges(n, list(pairs))
-        for x in range(n):
-            assert closed_nonneighborhood(g, x).bit_count() == n - 1 - g.degree(x)
-        if n >= 2:
-            assert common_nonneighborhood(g, 0, n - 1) == (
-                closed_nonneighborhood(g, 0) & closed_nonneighborhood(g, n - 1)
-            )
+        for u in range(n):
+            for v in range(u + 1, n):
+                # a vertex counts unless it is u or v or adjacent to either
+                got = common_nonneighborhood(g, u, v)
+                assert got == common_nonneighborhood(g, v, u)
+                assert got.bit_count() == n - 2 - sum(
+                    g.has_edge(u, w) or g.has_edge(v, w) for w in range(n) if w not in (u, v)
+                )
 
 
 class TestMutation:
@@ -276,13 +285,15 @@ class TestMutation:
     def test_deletion_composes(self):
         g = petersen()
         s, t = mask_of([1, 4]), mask_of([7])
-        step, remap = delete_vertices_with_map(g, s)
+        step = delete_vertices(g, s)
+        remap = {o: i for i, o in enumerate(bits(g.vertex_mask & ~s))}
         t_mapped = mask_of([remap[v] for v in bits(t)])
         assert delete_vertices(step, t_mapped) == delete_vertices(g, s | t)
 
     def test_relabel_map_ascending(self):
-        _, remap = delete_vertices_with_map(complete_graph(5), mask_of([1, 3]))
-        assert remap == {0: 0, 2: 1, 4: 2}
+        # survivors 0, 2, 4 become 0, 1, 2: the edges 0-4 and 2-4 become 0-2 and 1-2
+        g = graph_from_edges(5, [(0, 4), (2, 4)])
+        assert delete_vertices(g, mask_of([1, 3])) == graph_from_edges(3, [(0, 2), (1, 2)])
 
     @given(random_graph_strategy(max_n=16), st.data())
     @settings(max_examples=200, deadline=None)
@@ -290,7 +301,7 @@ class TestMutation:
         n, edges = spec
         g = graph_from_edges(n, edges)
         s = data.draw(st.integers(0, g.vertex_mask))
-        got, got_remap = delete_vertices_with_map(g, s)
+        got = delete_vertices(g, s)
         # oracle: relabel each surviving neighbour through the old->new map
         keep = g.vertex_mask & ~s
         old = list(bits(keep))
@@ -302,7 +313,6 @@ class TestMutation:
                 row |= 1 << remap[w]
             rows.append(row)
         assert got == Graph(len(old), tuple(rows))
-        assert got_remap == remap
 
     def test_delete_nonedge_rejected(self):
         with pytest.raises(GraphError):

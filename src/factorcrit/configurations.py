@@ -8,15 +8,16 @@ ones. The triple (|X|, component-size multiset, sizes of the components of
 u and v, which say where e sits) then lands in a fixed fourteen-row table,
 labeled C1..C14.
 
-Each row holds a label's signature and its bounds on |N̄[u] ∩ N̄[v]|. The
-one table is read by the classifier, by the builder of host graphs of order
-n >= 12 realizing each label, and by the intersection-bounds check.
+The table states the signatures in label order: a label is its row's
+position, and its bounds on |N̄[u] ∩ N̄[v]| follow by a rule. It is read by
+the classifier, the host builder and the intersection-bounds check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .decomp import BarrierWitness, find_barrier_witnesses
 from .graphs import (
@@ -34,54 +35,37 @@ from .graphs import (
 )
 from .matching import has_perfect_matching
 
-
-class ConfigLabel(Enum):
-    C1 = "C1"
-    C2 = "C2"
-    C3 = "C3"
-    C4 = "C4"
-    C5 = "C5"
-    C6 = "C6"
-    C7 = "C7"
-    C8 = "C8"
-    C9 = "C9"
-    C10 = "C10"
-    C11 = "C11"
-    C12 = "C12"
-    C13 = "C13"
-    C14 = "C14"
+# m = n - k, the order of the deficient core G - S_e - e
+_CORE_ORDER = 10
 
 
-@dataclass(frozen=True)
-class ConfigSignature:
+class ConfigSignature(NamedTuple):
     x_size: int
-    component_sizes: tuple[int, ...]  # ascending multiset, sums to 10 - x_size
-    # sizes of the components of u and v, smaller first: where the edge sits
-    ends: tuple[int, int]
+    component_sizes: tuple[int, ...]  # ascending multiset, sums to m - x_size
+    ends: tuple[int, int]  # sizes of the components of u and v, smaller first: where e sits
 
 
-# the paper's table, one row per label in label order: the signature, then
-# the bounds (lo, hi) on |N̄[u] ∩ N̄[v]| when every degree is at least n - 8;
-# with X empty the edge joins the only two components, so ends equals them
-_TABLE: dict[ConfigLabel, tuple[ConfigSignature, tuple[int, int]]] = {
-    ConfigLabel.C1: (ConfigSignature(0, (3, 7), (3, 7)), (0, 5)),
-    ConfigLabel.C2: (ConfigSignature(0, (5, 5), (5, 5)), (0, 5)),
-    ConfigLabel.C3: (ConfigSignature(1, (1, 1, 7), (1, 1)), (7, 7)),
-    ConfigLabel.C4: (ConfigSignature(1, (1, 3, 5), (1, 5)), (3, 5)),
-    ConfigLabel.C5: (ConfigSignature(1, (1, 3, 5), (1, 3)), (5, 5)),
-    ConfigLabel.C6: (ConfigSignature(1, (3, 3, 3), (3, 3)), (3, 5)),
-    ConfigLabel.C7: (ConfigSignature(2, (1, 1, 1, 5), (1, 5)), (2, 5)),
-    ConfigLabel.C8: (ConfigSignature(2, (1, 1, 1, 5), (1, 1)), (6, 7)),
-    ConfigLabel.C9: (ConfigSignature(2, (1, 1, 3, 3), (3, 3)), (2, 5)),
-    ConfigLabel.C10: (ConfigSignature(2, (1, 1, 3, 3), (1, 3)), (4, 5)),
-    ConfigLabel.C11: (ConfigSignature(2, (1, 1, 3, 3), (1, 1)), (6, 7)),
-    ConfigLabel.C12: (ConfigSignature(3, (1, 1, 1, 1, 3), (1, 1)), (5, 7)),
-    ConfigLabel.C13: (ConfigSignature(3, (1, 1, 1, 1, 3), (1, 3)), (3, 5)),
-    ConfigLabel.C14: (ConfigSignature(4, (1, 1, 1, 1, 1, 1), (1, 1)), (4, 7)),
-}
-_BY_SIGNATURE = {
-    (sig.x_size, sig.component_sizes, sig.ends): label for label, (sig, _) in _TABLE.items()
-}
+# C1..C14 in the paper's order, which no sort gives: C4's ends (1, 5) precede C5's (1, 3),
+# C12's (1, 1) precede C13's (1, 3). With X empty, e joins the only two components.
+_SIGNATURES = (
+    ConfigSignature(0, (3, 7), (3, 7)),
+    ConfigSignature(0, (5, 5), (5, 5)),
+    ConfigSignature(1, (1, 1, 7), (1, 1)),
+    ConfigSignature(1, (1, 3, 5), (1, 5)),
+    ConfigSignature(1, (1, 3, 5), (1, 3)),
+    ConfigSignature(1, (3, 3, 3), (3, 3)),
+    ConfigSignature(2, (1, 1, 1, 5), (1, 5)),
+    ConfigSignature(2, (1, 1, 1, 5), (1, 1)),
+    ConfigSignature(2, (1, 1, 3, 3), (3, 3)),
+    ConfigSignature(2, (1, 1, 3, 3), (1, 3)),
+    ConfigSignature(2, (1, 1, 3, 3), (1, 1)),
+    ConfigSignature(3, (1, 1, 1, 1, 3), (1, 1)),
+    ConfigSignature(3, (1, 1, 1, 1, 3), (1, 3)),
+    ConfigSignature(4, (1, 1, 1, 1, 1, 1), (1, 1)),
+)
+ConfigLabel = Enum("ConfigLabel", {f"C{i}": f"C{i}" for i in range(1, len(_SIGNATURES) + 1)}, module=__name__)
+_TABLE: dict[ConfigLabel, ConfigSignature] = dict(zip(ConfigLabel, _SIGNATURES))
+_BY_SIGNATURE = {sig: label for label, sig in _TABLE.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +128,13 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
     preconditions force deficiency 2, so each one qualifies. Entries keep
     the (|X|, bitmask) search order, so the first one is canonical.
     """
-    if h.n != 10:
-        raise GraphError(f"classification needs order 10, got {h.n}")
+    m = _CORE_ORDER
+    if h.n != m:
+        raise GraphError(f"classification needs order {m}, got {h.n}")
+    if not all(type(w) is int for w in e):
+        raise GraphError(f"invalid designated edge ({e[0]!r},{e[1]!r})")
     u, v = e if e[0] < e[1] else (e[1], e[0])
-    if not (0 <= u < 10 and 0 <= v < 10) or u == v:
+    if not (0 <= u < m and 0 <= v < m) or u == v:
         raise GraphError(f"invalid designated edge ({u},{v})")
     if h.has_edge(u, v):
         raise GraphError(f"designated edge ({u},{v}) must be a non-edge")
@@ -158,7 +145,7 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
     # witness leaves exactly |X| + 2 components, with u and v in two distinct
     # ones (otherwise they would still block every perfect matching of h + uv)
     entries = []
-    for w in find_barrier_witnesses(h, 4):
+    for w in find_barrier_witnesses(h, (m - 2) // 2):
         u_comp = next(c.vertices for c in w.components if c.vertices >> u & 1)
         v_comp = next(c.vertices for c in w.components if c.vertices >> v & 1)
         x_size = w.x.bit_count()
@@ -169,9 +156,7 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
             raise RuntimeError(
                 f"witness ({x_size}, {sizes}, endpoint sizes {ends}) missing from the table"
             )
-        entries.append(
-            ClassifiedWitness(label=label, witness=w, u_component=u_comp, v_component=v_comp)
-        )
+        entries.append(ClassifiedWitness(label=label, witness=w, u_component=u_comp, v_component=v_comp))
     if not entries:
         raise RuntimeError("no qualifying barrier witness found despite preconditions")
     return ClassificationResult(entries=tuple(entries))
@@ -198,9 +183,10 @@ def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
     vertex and S_e is complete to everything, so every degree is at least
     n - 8.
     """
-    if n < 12:
-        raise GraphError(f"host order {n} below 12")
-    sig = _TABLE[label][0]
+    m = _CORE_ORDER
+    if n < m + 2:
+        raise GraphError(f"host order {n} below {m + 2}")
+    sig = _TABLE[label]
     u_size, v_size = sig.ends
     leftover_sizes = list(sig.component_sizes)
     leftover_sizes.remove(u_size)
@@ -208,7 +194,7 @@ def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
 
     # consecutive vertex blocks in the documented layout order
     blocks, start = [], 0
-    for size in (u_size, v_size, *sorted(leftover_sizes, reverse=True), sig.x_size, n - 10):
+    for size in (u_size, v_size, *sorted(leftover_sizes, reverse=True), sig.x_size, n - m):
         blocks.append(range(start, start + size))
         start += size
     assert start == n
@@ -223,8 +209,8 @@ def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
         edges.extend((s, w) for w in range(s))
     host = graph_from_edges(n, edges)
 
-    if min_degree(host) < n - 8:
-        raise RuntimeError(f"built host has minimum degree {min_degree(host)} < {n - 8}")
+    if min_degree(host) < n - m + 2:
+        raise RuntimeError(f"built host has minimum degree {min_degree(host)} < {n - m + 2}")
     try:
         _check_preconditions(core_graph(host, (u, v)), (u, v))
     except ClassificationError as exc:
@@ -240,9 +226,9 @@ def core_graph(host: Graph, e: Edge) -> Graph:
     indices, so core labels are unchanged). Raises :class:`GraphError` when
     the host has order below 10 or lacks e.
     """
-    if host.n < 10:
-        raise GraphError(f"host order {host.n} below 10")
-    return delete_edge(delete_vertices(host, host.vertex_mask >> 10 << 10), e)
+    if host.n < _CORE_ORDER:
+        raise GraphError(f"host order {host.n} below {_CORE_ORDER}")
+    return delete_edge(delete_vertices(host, host.vertex_mask >> _CORE_ORDER << _CORE_ORDER), e)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +237,16 @@ def core_graph(host: Graph, e: Edge) -> Graph:
 
 
 def intersection_bounds(label: ConfigLabel) -> tuple[int, int]:
-    """Bounds (lo, hi) on |N̄[u] ∩ N̄[v]| when every degree is at least
-    n - 8; unstated sides are the universal 0 and 7."""
-    return _TABLE[label][1]
+    """Bounds (lo, hi) on |N̄[u] ∩ N̄[v]| when every host degree is at least
+    n - m + 2 (n - 8 at the core order m = 10), for ends of sizes a <= b.
+
+    u and v miss every vertex of the other components: lo = m - |X| - a - b.
+    u has at most m - 3 non-neighbours besides itself, and when b >= 3 the
+    larger end, factor-critical, gives its end vertex two neighbours that
+    the other end vertex misses: hi = m - 3 when a = b = 1, else m - 5.
+    """
+    (x_size, _, (a, b)), m = _TABLE[label], _CORE_ORDER
+    return m - x_size - a - b, m - 3 if a == b == 1 else m - 5
 
 
 class DegreeHypothesisError(ValueError):
@@ -266,12 +259,10 @@ def check_intersection_bounds(host: Graph, e: Edge, label: ConfigLabel) -> bool:
     Only valid under the standing hypothesis delta(host) >= n - 8; callers
     vouch that the core of host and e classifies as ``label``.
     """
-    n = host.n
-    if min_degree(host) < n - 8:
-        raise DegreeHypothesisError(
-            f"minimum degree {min_degree(host)} below n-8 = {n - 8}"
-        )
-    u, v = e
-    count = common_nonneighborhood(host, u, v).bit_count()
+    n, m = host.n, _CORE_ORDER
+    delta = min_degree(host)
+    if delta < n - m + 2:
+        raise DegreeHypothesisError(f"minimum degree {delta} below n-{m - 2} = {n - m + 2}")
+    count = common_nonneighborhood(host, *e).bit_count()
     lo, hi = intersection_bounds(label)
     return lo <= count <= hi

@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     GraphError,
+    _check_order,
     _delete_vertex_rows,
     _trusted,
     graph6_lines,
@@ -348,8 +349,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability {p} outside [0, 1]")
-    if not 1 <= n <= 64:
-        raise GraphError(f"vertex count {n} outside 1..64")
+    _check_order(n, 1)
     threshold = int(p * (1 << 64))
     rng = SplitMix64(seed)
     rows = [0] * n

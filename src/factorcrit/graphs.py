@@ -43,6 +43,14 @@ def mask_of(vertices: Iterable[int]) -> VertexSet:
     return m
 
 
+def _check_order(n: int, least: int) -> None:
+    """Refuse an order that is not an int (a bool is none) or lies outside least..MAX_VERTICES."""
+    if type(n) is not int:
+        raise GraphError(f"vertex count {n!r} is a {type(n).__name__}, not an int")
+    if not least <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside {least}..{MAX_VERTICES}")
+
+
 def normalize_edge(u: int, v: int) -> Edge:
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")
@@ -84,8 +92,7 @@ class Graph:
         adj = tuple(self.adj)  # a caller's list would leave the graph mutable and unhashable
         object.__setattr__(self, "adj", adj)
         n = self.n
-        if not 0 <= n <= MAX_VERTICES:
-            raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        _check_order(n, 0)
         if len(adj) != n:
             raise GraphError("adjacency length does not match vertex count")
         full = (1 << n) - 1
@@ -136,12 +143,11 @@ def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise GraphError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    _check_order(n, 1)
     rows = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
+        if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u!r},{v!r}) has endpoint outside 0..{n - 1}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 from collections import Counter
 
 import pytest
@@ -69,14 +70,14 @@ def two_cliques_with_gap(a: int, b: int):
 
 class TestSignatureTable:
     def test_fourteen_distinct_rows(self):
-        rows = [(label, sig) for label, (sig, _) in configurations._TABLE.items()]
+        rows = list(configurations._TABLE.items())
         assert len(rows) == 14
         assert len({label for label, _ in rows}) == 14
         keys = {(s.x_size, s.component_sizes, s.ends) for _, s in rows}
         assert len(keys) == 14
 
     def test_row_structure(self):
-        for sig, _ in configurations._TABLE.values():
+        for sig in configurations._TABLE.values():
             assert len(sig.component_sizes) == sig.x_size + 2
             assert sum(sig.component_sizes) == 10 - sig.x_size
             assert all(s % 2 == 1 for s in sig.component_sizes)
@@ -84,7 +85,7 @@ class TestSignatureTable:
     def test_ends_are_two_component_sizes(self):
         # build_instance removes both ends from the component sizes, so they
         # are a sub-multiset of them; with X empty the edge joins the only two
-        for sig, _ in configurations._TABLE.values():
+        for sig in configurations._TABLE.values():
             assert sig.ends == tuple(sorted(sig.ends))
             assert not Counter(sig.ends) - Counter(sig.component_sizes)
             if sig.x_size == 0:
@@ -93,17 +94,27 @@ class TestSignatureTable:
     def test_rows_follow_from_the_rule(self):
         # configuration_rows derives signatures and bounds without the table
         table = {
-            (sig.x_size, sig.component_sizes, sig.ends): bounds for sig, bounds in configurations._TABLE.values()
+            (sig.x_size, sig.component_sizes, sig.ends): intersection_bounds(label)
+            for label, sig in configurations._TABLE.items()
         }
         assert configuration_rows(10) == table
         # at core order 12 the rule gives 24 signatures, by |X| = 0..5
         assert Counter(x for x, _, _ in configuration_rows(12)) == Counter({0: 2, 1: 6, 2: 8, 3: 5, 4: 2, 5: 1})
 
     def test_last_row(self):
-        sig, _ = configurations._TABLE[ConfigLabel.C14]
+        sig = configurations._TABLE[ConfigLabel.C14]
         assert sig.x_size == 4
         assert sig.component_sizes == (1,) * 6
         assert sig.ends == (1, 1)
+
+    def test_labels_keep_their_public_face(self):
+        # labels come from row positions, but read as the fourteen members
+        # C1..C14 did: bench/worker.py writes .value, and results pickle
+        assert [label.name for label in ConfigLabel] == [f"C{i}" for i in range(1, 15)]
+        assert all(label.value == label.name for label in ConfigLabel)
+        assert repr(ConfigLabel.C3) == "<ConfigLabel.C3: 'C3'>"
+        assert all(pickle.loads(pickle.dumps(label)) is label for label in ConfigLabel)
+        assert list(configurations._TABLE) == list(ConfigLabel)
 
 
 class TestClassify:
@@ -283,6 +294,25 @@ class TestIntersectionBounds:
             inst = build_instance(label, 12)
             got = common_nonneighborhood(inst.graph, *inst.edge).bit_count()
             assert got == exact
+
+    def test_upper_bound_reached(self):
+        # cutting the first a + |X| - 2 vertices of S_e from u and v leaves u
+        # at degree 5 = n - 8 and puts them in the common non-neighborhood:
+        # 8 - b vertices, which is hi when b <= 3; for b >= 5 hi stays open
+        for label in ALL_LABELS:
+            inst = build_instance(label, 13)
+            (x_size, _, (a, b)), (u, v) = configurations._TABLE[label], inst.edge
+            host = inst.graph
+            for s in list(bits(inst.s_e))[:a + x_size - 2]:
+                host = delete_edge(delete_edge(host, (u, s)), (v, s))
+            core = core_graph(host, inst.edge)
+            assert core == core_graph(inst.graph, inst.edge)
+            assert label in classify(core, inst.edge).labels()
+            assert min_degree(host) == 5
+            count = common_nonneighborhood(host, u, v).bit_count()
+            assert count == 8 - b
+            assert (count == intersection_bounds(label)[1]) == (b <= 3)
+            assert check_intersection_bounds(host, inst.edge, label)
 
     def test_degree_hypothesis_guard(self):
         inst = build_instance(ConfigLabel.C1, 12)

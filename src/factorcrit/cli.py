@@ -30,6 +30,7 @@ from .configurations import ClassificationError, classify
 from .criticality import (
     NotKFactorCriticalError,
     _batch_kernel,
+    _check_k,
     _edge_lanes,
     check_connectivity_properties,
     is_minimal_kfc,
@@ -39,8 +40,8 @@ from .criticality import (
 from .decomp import gallai_edmonds
 from .enumeration import _representatives, random_graph, read_graph6_stream
 from .graphs import (
-    Graph, Graph6Error, GraphError, _pack_rows, _rows_graph6, _rows_min_degrees, bits, min_degree, parse_graph6,
-    to_graph6,
+    Graph, Graph6Error, GraphError, _check_order, _pack_rows, _rows_graph6, _rows_min_degrees, bits, min_degree,
+    parse_graph6, to_graph6,
 )
 from .matching import deficiency
 
@@ -193,16 +194,15 @@ def verify_scan(args: argparse.Namespace) -> int:
     same either way.
 
     ``--jobs`` > 1 fans ``file:`` and ``sample`` out over at most
-    min(jobs, ``os.cpu_count()``, inputs) workers; the output does not
-    depend on their number. Tasks carry all they need, so any start method
-    works. ``all`` starts no worker: a whole order-9 kernel sweep takes less
-    time than starting one. Returns the exit code.
+    min(jobs, ``os.cpu_count()``, inputs) workers, in a pool only from two
+    inputs up; the output does not depend on their number. Tasks carry all
+    they need, so any start method works. ``all`` starts no worker: a whole
+    order-9 kernel sweep takes less time than starting one. Returns the exit code.
     """
     n, k, source, fmt, jobs = args.n, args.k, args.source, args.format, args.jobs
     if (n + k) % 2:
         raise GraphError(f"n + k must be even, got n={n}, k={k}")
-    if not 0 <= k < n:
-        raise GraphError(f"k={k} outside 0..{n - 1}")
+    _check_k(n, k)
     if args.samples < 1:
         raise GraphError(f"samples={args.samples} must be at least 1")
     if jobs < 1:
@@ -212,8 +212,7 @@ def verify_scan(args: argparse.Namespace) -> int:
 
     data, worker = None, None
     if source == "sample":
-        if not 1 <= n <= 64:  # random_graph's range, checked before the tsv header
-            raise GraphError(f"vertex count {n} outside 1..64")
+        _check_order(n, 1)  # random_graph's check, before the tsv header
         scanned = args.samples
         worker, tasks = _sample_worker, ((n, args.p, k, args.seed + i) for i in range(scanned))
         # a sampled graph is minimal by construction
@@ -233,7 +232,7 @@ def verify_scan(args: argparse.Namespace) -> int:
     else:
         raise GraphError(f"unknown source {source!r}")
 
-    workers = min(jobs, os.cpu_count() or 1, scanned) if worker and jobs > 1 else 1
+    workers = min(jobs, os.cpu_count() or 1, scanned) if worker and jobs > 1 and scanned > 1 else 1
     out = sys.stdout
     kfc = minimal = 0
     counterexamples = []

@@ -25,6 +25,7 @@ from .graphs import (
     Graph,
     GraphError,
     VertexSet,
+    _check_order,
     add_edge,
     common_nonneighborhood,
     delete_edge,
@@ -32,6 +33,7 @@ from .graphs import (
     graph_from_edges,
     mask_of,
     min_degree,
+    normalize_edge,
 )
 from .matching import has_perfect_matching
 
@@ -131,11 +133,11 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
     m = _CORE_ORDER
     if h.n != m:
         raise GraphError(f"classification needs order {m}, got {h.n}")
-    if not all(type(w) is int for w in e):
-        raise GraphError(f"invalid designated edge ({e[0]!r},{e[1]!r})")
-    u, v = e if e[0] < e[1] else (e[1], e[0])
-    if not (0 <= u < m and 0 <= v < m) or u == v:
-        raise GraphError(f"invalid designated edge ({u},{v})")
+    try:
+        u, v = normalize_edge(m, e)
+    except GraphError:
+        a, b = sorted(e) if type(e[0]) is type(e[1]) is int else e  # ints are named smaller first
+        raise GraphError(f"invalid designated edge ({a!r},{b!r})") from None
     if h.has_edge(u, v):
         raise GraphError(f"designated edge ({u},{v}) must be a non-edge")
 
@@ -184,6 +186,8 @@ def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
     n - 8.
     """
     m = _CORE_ORDER
+    if type(n) is not int:
+        _check_order(n, m + 2)  # refuses a non-int order; an int keeps the message below
     if n < m + 2:
         raise GraphError(f"host order {n} below {m + 2}")
     sig = _TABLE[label]

@@ -81,6 +81,7 @@ from .graphs import (
     GraphError,
     VertexSet,
     _k_subsets_ascending,
+    _one_order,
     _pack_rows,
     _row_bytes,
     _trusted,
@@ -97,9 +98,10 @@ class NotKFactorCriticalError(GraphError):
     minimality certificates require."""
 
 
-def _check_k(g: Graph, k: int) -> None:
-    if not 0 <= k < g.n:
-        raise GraphError(f"k={k} outside 0..{g.n - 1}")
+def _check_k(n: int, k: int) -> None:
+    """Refuse a k that is not an int (a bool is none) or lies outside 0..n-1."""
+    if not (type(k) is int and 0 <= k < n):
+        raise GraphError(f"k={k!r} outside 0..{n - 1}")
 
 
 def _first_failing_subset(
@@ -121,11 +123,11 @@ def _first_failing_subset(
 
 class _Witnesses:
     """A graph under edge deletion with one perfect matching of G - S per
-    k-set S. ``failing`` is the input's first failing k-set; the edge tests
-    are valid only when it is None, and then the table holds every k-set."""
+    k-set S, k checked by the caller. ``failing`` is the input's first failing
+    k-set; the edge tests are valid only when it is None, and then the table
+    holds every k-set."""
 
     def __init__(self, g: Graph, k: int) -> None:
-        _check_k(g, k)
         self.n, self.k, self.full, self.adj = g.n, k, g.vertex_mask, list(g.adj)
         self.table: list[tuple[int, list[int]]] = []
         self.failing = _first_failing_subset(g.n, g.adj, k, self.table)
@@ -166,7 +168,7 @@ def is_k_factor_critical(g: Graph, k: int) -> tuple[bool, VertexSet | None]:
 
     False immediately when n + k is odd.
     """
-    _check_k(g, k)
+    _check_k(g.n, k)
     if (g.n + k) % 2:
         return False, None
     failing = _first_failing_subset(g.n, g.adj, k)
@@ -201,9 +203,10 @@ def minimality_certificate(g: Graph, k: int, e: tuple[int, int]) -> MinimalityCe
 
     Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """
-    u, v = normalize_edge(*e)
+    u, v = normalize_edge(g.n, e)
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not present")
+    _check_k(g.n, k)
     w = _Witnesses(g, k)
     if w.failing is not None:
         raise NotKFactorCriticalError("minimality certificates require a k-factor-critical graph")
@@ -221,6 +224,7 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
     k-FC); the graph is minimal iff there are none. One sweep serves the
     k-FC test and every edge.
     """
+    _check_k(g.n, k)
     w = _Witnesses(g, k)
     if w.failing is not None:
         return CriticalityReport(
@@ -246,7 +250,7 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     """(k-factor-critical, minimal) from one sweep, without certificates:
     the edge tests stop at the first deletable edge. Minimum degree <= k
     fails before the sweep (see the module docstring)."""
-    _check_k(g, k)
+    _check_k(g.n, k)
     if min_degree(g) <= k:
         return False, False
     w = _Witnesses(g, k)
@@ -314,13 +318,10 @@ def kfc_and_minimal_batch(graphs: Sequence[Graph], k: int) -> tuple[int, int]:
     the second when it is also minimal (see the module docstring)."""
     if not graphs:
         return 0, 0
-    orders = {g.n for g in graphs}
-    if len(orders) > 1:
-        raise GraphError(f"batch mixes graphs of orders {sorted(orders)}")
-    n = graphs[0].n
+    n = _one_order(graphs)
     if n > 16:
         raise GraphError("bit-sliced batches are limited to n <= 16")
-    _check_k(graphs[0], k)
+    _check_k(n, k)
     return _batch_kernel(_edge_lanes(graphs, n), n, k, len(graphs))
 
 
@@ -384,7 +385,7 @@ def minimalize(g: Graph, k: int, seed: int) -> Graph:
 
     Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """
-    _check_k(g, k)
+    _check_k(g.n, k)
     order = g.edges()
     SplitMix64(seed).shuffle(order)
     adj = list(g.adj)
@@ -413,8 +414,8 @@ def check_connectivity_properties(g: Graph, k: int) -> bool:
 
     The caller vouches that g is k-FC; only parity and range are re-checked.
     """
-    if not 1 <= k < g.n:
-        raise GraphError(f"k={k} outside 1..{g.n - 1}")
+    if not (type(k) is int and 1 <= k < g.n):
+        raise GraphError(f"k={k!r} outside 1..{g.n - 1}")
     if (g.n + k) % 2:
         raise GraphError("n + k must be even for a k-factor-critical graph")
     if not is_k_connected(g, k):

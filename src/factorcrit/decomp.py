@@ -122,8 +122,8 @@ def find_barrier_witnesses(g: Graph, max_x: int) -> list[BarrierWitness]:
     """
     if g.n > 12:
         raise GraphError("exhaustive barrier search limited to n <= 12")
-    if not 0 <= max_x <= g.n:
-        raise GraphError(f"max_x={max_x} outside 0..{g.n}")
+    if not (type(max_x) is int and 0 <= max_x <= g.n):
+        raise GraphError(f"max_x={max_x!r} outside 0..{g.n}")
     if _has_pm(g.n, g.adj, g.vertex_mask):
         raise GraphError("graph has a perfect matching; no barrier witness exists")
     n, adj, full = g.n, g.adj, g.vertex_mask

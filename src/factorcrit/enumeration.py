@@ -123,7 +123,7 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
             if col >> (j - 1 - i) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return graph6_lines((_trusted(n, tuple(rows)),), n)[:-1]
+    return graph6_lines((_trusted(n, tuple(rows)),))[:-1]
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -303,6 +303,8 @@ def all_graphs(n: int) -> Iterator[Graph]:
     one-vertex deletions. An order outside 1..9 raises :class:`GraphError`
     on the call itself, before the first ``next``.
     """
+    if type(n) is not int:  # the cache would take 5.0 for 5 and True for 1
+        _check_order(n, 1)
     return iter(_representatives(n))
 
 
@@ -317,6 +319,8 @@ class SplitMix64:
     """Tiny named PRNG; bit-reproducible from its 64-bit seed."""
 
     def __init__(self, seed: int) -> None:
+        if type(seed) is not int:
+            raise GraphError(f"seed {seed!r} is a {type(seed).__name__}, not an int")
         self._state = seed & _M64
 
     def next_u64(self) -> int:

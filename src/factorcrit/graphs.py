@@ -51,10 +51,22 @@ def _check_order(n: int, least: int) -> None:
         raise GraphError(f"vertex count {n} outside {least}..{MAX_VERTICES}")
 
 
-def normalize_edge(u: int, v: int) -> Edge:
+def normalize_edge(n: int, e: tuple[int, int]) -> Edge:
+    """``e`` as (u, v) with u < v: two distinct ints (a bool is none) in 0..n-1."""
+    u, v = e
+    if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u!r},{v!r}) has endpoint outside 0..{n - 1}")
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
+
+
+def _one_order(graphs: Sequence[Graph]) -> int:
+    """The order of a nonempty batch; a batch of mixed orders is refused."""
+    orders = {g.n for g in graphs}
+    if len(orders) > 1:
+        raise GraphError(f"batch mixes graphs of orders {sorted(orders)}")
+    return graphs[0].n
 
 
 def _k_subsets_ascending(n: int, k: int) -> Iterator[int]:
@@ -82,7 +94,8 @@ class Graph:
     input instead; every graph the package derives from a valid one
     (deletions, additions, generators) is symmetric by construction and
     skips the check. The empty graph (``n == 0``) is permitted so that
-    vertex deletion stays total.
+    vertex deletion stays total. The queries, run inside loops, check
+    nothing: their vertices must be vertices of the graph.
     """
 
     n: int
@@ -97,7 +110,7 @@ class Graph:
             raise GraphError("adjacency length does not match vertex count")
         full = (1 << n) - 1
         for v, row in enumerate(adj):
-            if not isinstance(row, int):
+            if type(row) is not int:
                 raise GraphError(f"adjacency of {v} is a {type(row).__name__}, not an int")
             if row & ~full:
                 raise GraphError(f"adjacency of {v} has bits at or above {n}")
@@ -145,11 +158,8 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
     _check_order(n, 1)
     rows = [0] * n
-    for u, v in edges:
-        if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u!r},{v!r}) has endpoint outside 0..{n - 1}")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
+    for e in edges:
+        u, v = normalize_edge(n, e)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return _trusted(n, tuple(rows))
@@ -322,14 +332,15 @@ def _rows_min_degrees(packed: bytes, n: int, count: int) -> bytes:
     return low.to_bytes(count, "little")
 
 
-def graph6_lines(graphs: Sequence[Graph], n: int) -> bytes:
-    """The graph6 lines of ``graphs``, all of order n, each ending in ``\\n``."""
+def graph6_lines(graphs: Sequence[Graph]) -> bytes:
+    """The graph6 lines of ``graphs``, all of one order, each ending in ``\\n``."""
+    n = _one_order(graphs) if graphs else 0  # no graph, no line
     return _rows_graph6(_pack_rows(graphs, n), n, len(graphs))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 line (no trailing newline)."""
-    return graph6_lines((g,), g.n)[:-1].decode("ascii")
+    return _rows_graph6(_pack_rows((g,), g.n), g.n, 1)[:-1].decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +354,8 @@ def common_nonneighborhood(g: Graph, u: int, v: int) -> VertexSet:
     if u == v:
         raise GraphError("common non-neighborhood needs two distinct vertices")
     for x in (u, v):
-        if not 0 <= x < g.n:
-            raise GraphError(f"vertex {x} outside 0..{g.n - 1}")
+        if not (type(x) is int and 0 <= x < g.n):
+            raise GraphError(f"vertex {x!r} outside 0..{g.n - 1}")
     return g.vertex_mask & ~(g.adj[u] | g.adj[v] | 1 << u | 1 << v)
 
 
@@ -375,7 +386,7 @@ def _delete_vertex_rows(n: int, adj: tuple[int, ...], v: int) -> tuple[int, ...]
 def delete_vertices(g: Graph, s: VertexSet) -> Graph:
     """Induced subgraph on V minus ``s``; survivors relabeled densely, in
     ascending order."""
-    if s & ~g.vertex_mask:
+    if type(s) is not int or s & ~g.vertex_mask:
         raise GraphError("deletion set contains vertices outside the graph")
     n, rows = g.n, g.adj
     # highest label first, so the labels still to delete stay put
@@ -386,7 +397,7 @@ def delete_vertices(g: Graph, s: VertexSet) -> Graph:
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    u, v = normalize_edge(*e)
+    u, v = normalize_edge(g.n, e)
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not present")
     rows = list(g.adj)
@@ -396,9 +407,7 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
 
 
 def add_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    u, v = normalize_edge(*e)
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{g.n - 1}")
+    u, v = normalize_edge(g.n, e)
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) already present")
     rows = list(g.adj)
@@ -443,7 +452,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     Follows the usual convention that the complete graph K_n is
     (n-1)-connected.
     """
-    if k < 0:
+    if type(k) is not int or k < 0:
         raise GraphError("connectivity order must be nonnegative")
     n = g.n
     if n <= k:
@@ -464,7 +473,7 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
     to every other t. Each t takes at most k augmenting paths of unit
     capacity, found by BFS in the residual graph.
     """
-    if k < 0:
+    if type(k) is not int or k < 0:
         raise GraphError("connectivity order must be nonnegative")
     n = g.n
     if n <= k:

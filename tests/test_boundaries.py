@@ -2,6 +2,8 @@
 
 One row per check: the call, and a pattern that only that check's message
 matches, so a row cannot pass on an earlier check of the same function.
+Then the argument contract: every public entry refuses an int argument of
+another type, a bool included, or outside its range, with GraphError.
 """
 
 from __future__ import annotations
@@ -9,18 +11,21 @@ from __future__ import annotations
 import pytest
 
 from factorcrit import (
-    Graph, Graph6Error, GraphError, add_edge, all_graphs, check_connectivity_properties, classify,
-    core_graph, find_barrier_witnesses, graph_from_edges, is_k_connected, is_k_edge_connected, min_degree,
-    parse_graph6, random_graph,
+    ConfigLabel, Graph, Graph6Error, GraphError, SplitMix64, add_edge, all_graphs, build_instance,
+    check_connectivity_properties, check_intersection_bounds, classify, common_nonneighborhood, core_graph,
+    delete_edge, delete_vertices, find_barrier_witnesses, graph6_lines, graph_from_edges, is_k_connected,
+    is_k_edge_connected, is_k_factor_critical, is_minimal_kfc, kfc_and_minimal, kfc_and_minimal_batch,
+    min_degree, minimality_certificate, minimalize, parse_graph6, random_graph,
 )
 from factorcrit.graphs import normalize_edge
 from conftest import disjoint_cliques
 from oracles import complete_graph, cycle_graph
 
 C5 = cycle_graph(5)
+K3K7 = disjoint_cliques([3, 7])
 
 CHECKS = {
-    "normalize_edge self-loop": (lambda: normalize_edge(2, 2), GraphError, r"self-loop at vertex 2"),
+    "normalize_edge self-loop": (lambda: normalize_edge(3, (2, 2)), GraphError, r"self-loop at vertex 2"),
     "Graph order": (lambda: Graph(65, (0,) * 65), GraphError, r"vertex count 65 outside 0\.\.64"),
     "Graph order of type float": (lambda: Graph(2.0, (2, 1)), GraphError, r"vertex count 2\.0 is a float, not an int"),
     "Graph order of type str": (lambda: Graph("2", (2, 1)), GraphError, r"vertex count '2' is a str, not an int"),
@@ -79,3 +84,73 @@ CHECKS = {
 def test_boundary_check(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# The argument contract. Each row is one int argument of one public entry:
+# a call that takes the argument, and the values outside its range (an
+# argument whose every int is valid, a seed, has none). Every row is called
+# with each value of another type too.
+HOST = build_instance(ConfigLabel.C1, 12)
+OTHER_TYPES = (1.0, 2.5, True, "1", None)
+ARGUMENTS = {
+    "Graph order": (lambda x: Graph(x, ()), (-1, 65)),
+    "Graph row": (lambda x: Graph(2, (x, 1)), (-1, 4)),
+    "graph_from_edges order": (lambda x: graph_from_edges(x, []), (-1, 65)),
+    "graph_from_edges endpoint": (lambda x: graph_from_edges(3, [(0, x)]), (-1, 3)),
+    "add_edge endpoint": (lambda x: add_edge(C5, (0, x)), (-1, 5)),
+    "delete_edge endpoint": (lambda x: delete_edge(C5, (0, x)), (-1, 5)),
+    "common_nonneighborhood u": (lambda x: common_nonneighborhood(C5, x, 0), (-1, 5)),
+    "common_nonneighborhood v": (lambda x: common_nonneighborhood(C5, 0, x), (-1, 5)),
+    "delete_vertices set": (lambda x: delete_vertices(C5, x), (-1, 1 << 5)),
+    "is_k_connected k": (lambda x: is_k_connected(C5, x), (-1,)),
+    "is_k_edge_connected k": (lambda x: is_k_edge_connected(C5, x), (-1,)),
+    "find_barrier_witnesses max_x": (lambda x: find_barrier_witnesses(K3K7, x), (-1, 11)),
+    "is_k_factor_critical k": (lambda x: is_k_factor_critical(C5, x), (-1, 5)),
+    "is_minimal_kfc k": (lambda x: is_minimal_kfc(C5, x), (-1, 5)),
+    "kfc_and_minimal k": (lambda x: kfc_and_minimal(C5, x), (-1, 5)),
+    "kfc_and_minimal_batch k": (lambda x: kfc_and_minimal_batch([C5], x), (-1, 5)),
+    "minimality_certificate k": (lambda x: minimality_certificate(C5, x, (0, 1)), (-1, 5)),
+    "minimality_certificate endpoint": (lambda x: minimality_certificate(C5, 1, (0, x)), (-1, 5)),
+    "minimalize k": (lambda x: minimalize(C5, x, 0), (-1, 5)),
+    "minimalize seed": (lambda x: minimalize(C5, 1, x), ()),
+    "check_connectivity_properties k": (lambda x: check_connectivity_properties(C5, x), (-1, 5)),
+    "classify endpoint": (lambda x: classify(K3K7, (0, x)), (-1, 10)),
+    "core_graph endpoint": (lambda x: core_graph(HOST.graph, (0, x)), (-1, 10)),
+    "check_intersection_bounds endpoint": (
+        lambda x: check_intersection_bounds(HOST.graph, (0, x), ConfigLabel.C1), (-1, 12)
+    ),
+    "build_instance order": (lambda x: build_instance(ConfigLabel.C1, x), (-1, 65)),
+    "all_graphs order": (lambda x: all_graphs(x), (-1, 10)),
+    "random_graph order": (lambda x: random_graph(x, 0.5, 0), (-1, 65)),
+    "random_graph seed": (lambda x: random_graph(5, 0.5, x), ()),
+    "SplitMix64 seed": (lambda x: SplitMix64(x), ()),
+}
+CONTRACT = {
+    f"{name} {value!r}": (lambda call=call, value=value: call(value))
+    for name, (call, out_of_range) in ARGUMENTS.items()
+    for value in OTHER_TYPES + out_of_range
+} | {"graph6_lines of mixed orders": lambda: graph6_lines([C5, complete_graph(4)])}
+
+
+@pytest.mark.parametrize("call", CONTRACT.values(), ids=CONTRACT.keys())
+def test_argument_contract(call):
+    with pytest.raises(GraphError):
+        call()
+
+
+# Calls the contract leaves alone: every int is a seed, a connectivity order
+# above n only makes the answer False, and a query checks nothing.
+ANSWERS = {
+    "random_graph seed -1": (lambda: random_graph(5, 0.5, -1), random_graph(5, 0.5, (1 << 64) - 1)),
+    "random_graph seed 99": (lambda: random_graph(5, 0.5, 99).n, 5),
+    "minimalize seed -1": (lambda: minimalize(C5, 1, -1), C5),
+    "minimalize seed 99": (lambda: minimalize(C5, 1, 99), C5),
+    "is_k_connected k = 99": (lambda: is_k_connected(C5, 99), False),
+    "is_k_edge_connected k = 99": (lambda: is_k_edge_connected(C5, 99), False),
+    "has_edge reads the last row at -1": (lambda: C5.has_edge(-1, 0), True),
+}
+
+
+@pytest.mark.parametrize("call, answer", ANSWERS.values(), ids=ANSWERS.keys())
+def test_calls_outside_the_contract(call, answer):
+    assert call() == answer

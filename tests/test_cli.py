@@ -394,7 +394,7 @@ class TestVerify:
         # every input check precedes the first byte, even the tsv header
         path = tmp_path / "graphs.g6"
         path.write_bytes(
-            graph6_lines(list(all_graphs(6)), 6) + (last + "\n").encode("latin-1")
+            graph6_lines(list(all_graphs(6))) + (last + "\n").encode("latin-1")
         )
         code, out, err = run(
             capsys, "verify", "--n", "6", "--k", "2", "--source", f"file:{path}",
@@ -432,13 +432,24 @@ class TestVerify:
             args = ["--n", "8", "--k", "2", "--source", "sample", "--samples", "12", "--seed", "5"]
         else:
             path = tmp_path / "graphs.g6"
-            path.write_bytes(graph6_lines(list(all_graphs(6))[::-1], 6))
+            path.write_bytes(graph6_lines(list(all_graphs(6))[::-1]))
             args = ["--n", "6", "--k", "2", "--source", f"file:{path}"]
         single = run(capsys, "verify", *args, "--format", fmt, "--jobs", "1")
         for jobs in ("2", "3"):
             assert run(capsys, "verify", *args, "--format", fmt, "--jobs", jobs) == single, jobs
         code, out, _ = single
         assert code == 0 and out
+
+    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank lines"])
+    def test_file_of_no_graphs(self, capsys, tmp_path, text):
+        # a scan of nothing starts no pool, so --jobs 2 gives the --jobs 1 result
+        path = tmp_path / "none.g6"
+        path.write_text(text)
+        for fmt in ("human", "json", "tsv"):
+            args = ("verify", "--n", "4", "--k", "2", "--source", f"file:{path}", "--format", fmt)
+            code, out, err = single = run(capsys, *args, "--jobs", "1")
+            assert code == 0 and "scanned=0 kfc=0 minimal=0 failures=0\n" in out + err, fmt
+            assert run(capsys, *args, "--jobs", "2") == single, fmt
 
     def test_exhaustive_sweep_starts_no_worker(self, capsys, monkeypatch):
         # `all` is decided in this process whatever --jobs says: it builds no
@@ -480,7 +491,7 @@ class TestVerify:
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         path = tmp_path / "graphs.g6"
-        path.write_bytes(graph6_lines(list(all_graphs(6)), 6))
+        path.write_bytes(graph6_lines(list(all_graphs(6))))
         args = ("verify", "--n", "6", "--k", "2", "--source", f"file:{path}", "--format", "json")
         single = run(capsys, *args, "--jobs", "1")
         for jobs in ("3", "100000"):
@@ -597,7 +608,7 @@ class TestVerify:
         for n, k in CRITERION_3_SWEEPS + ((8, 0),):
             path = tmp_path / f"order{n}.g6"
             if not path.exists():
-                path.write_bytes(graph6_lines(reps8[n], n))
+                path.write_bytes(graph6_lines(reps8[n]))
             args = ("verify", "--n", str(n), "--k", str(k), "--format", "json", "--jobs", jobs)
             exhaustive = run(capsys, *args, "--source", "all")
             assert exhaustive == run(capsys, *args, "--source", f"file:{path}"), (n, k)

@@ -295,7 +295,7 @@ class TestAllGraphs:
 
     def test_graph6_stream_digests(self, reps8):
         for n, digest in GRAPH6_STREAM_SHA256.items():
-            stream = graph6_lines(reps8[n], n)
+            stream = graph6_lines(reps8[n])
             assert hashlib.sha256(stream).hexdigest() == digest, f"n={n}"
 
     def test_edge_histograms_match_burnside(self, reps8):
@@ -307,7 +307,7 @@ class TestAllGraphs:
             reps = tuple(all_graphs(9))
             assert len(reps) == 274_668
             assert edge_histogram(9, reps) == burnside_edge_counts(9)
-            assert hashlib.sha256(graph6_lines(reps, 9)).hexdigest() == ORDER_9_SHA256
+            assert hashlib.sha256(graph6_lines(reps)).hexdigest() == ORDER_9_SHA256
             # the four order-9 sweeps on the classes generated above
             records = {}
             for k, kfc, minimal in ((1, 184_036, 17), (3, 13_484, 74), (5, 51, 6), (7, 1, 1)):

@@ -206,7 +206,7 @@ class TestGraph6Lines:
         ones = [to_graph6(g).encode() + b"\n" for g in pool]
         for size in BATCH_SIZES:
             picks = [i % len(pool) for i in range(size)]
-            lines = graph6_lines([pool[i] for i in picks], n)
+            lines = graph6_lines([pool[i] for i in picks])
             assert lines == b"".join(want[i] for i in picks), size
             assert lines == b"".join(ones[i] for i in picks), size
 

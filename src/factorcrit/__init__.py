@@ -59,7 +59,6 @@ from .configurations import (
     ClassifiedWitness,
     ConfigLabel,
     ConfigSignature,
-    DegreeHypothesisError,
     build_instance,
     check_intersection_bounds,
     classify,

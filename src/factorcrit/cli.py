@@ -38,7 +38,7 @@ from .criticality import (
     minimalize,
 )
 from .decomp import gallai_edmonds
-from .enumeration import _representatives, random_graph, read_graph6_stream
+from .enumeration import _check_probability, _representatives, random_graph, read_graph6_stream
 from .graphs import (
     Graph, Graph6Error, GraphError, _check_order, _pack_rows, _rows_graph6, _rows_min_degrees, bits, min_degree,
     parse_graph6, to_graph6,
@@ -175,10 +175,11 @@ def verify_scan(args: argparse.Namespace) -> int:
     the same per-sample seed; a minimal graph whose minimum degree is not
     k + 1 is a counterexample.
 
-    Every input check (the flags, the source, the n <= 9 cap of exhaustive
-    generation, the 1..64 range of sampled orders, the order of every graph
-    in a ``file:`` source, and opening the run log for append) comes before
-    the first byte is written; the log entry is written after the sweep.
+    Every input check (the flags, the edge probability, the source, the
+    n <= 9 cap of exhaustive generation, the 1..64 range of sampled orders,
+    the order of every graph in a ``file:`` source, and opening the run log
+    for append) comes before the first byte is written; the log entry is
+    written after the sweep.
     Each source yields its k-factor-critical graphs and their minimal flags
     in batches, in input order, and the parent alone writes each batch's
     records to stdout with one write: graph6 strings and minimum degrees
@@ -207,8 +208,7 @@ def verify_scan(args: argparse.Namespace) -> int:
         raise GraphError(f"samples={args.samples} must be at least 1")
     if jobs < 1:
         raise GraphError(f"jobs={jobs} must be at least 1")
-    if not 0.0 <= args.p <= 1.0:
-        raise GraphError(f"edge probability {args.p} outside [0, 1]")
+    _check_probability(args.p)
 
     data, worker = None, None
     if source == "sample":

@@ -70,13 +70,20 @@ _TABLE: dict[ConfigLabel, ConfigSignature] = dict(zip(ConfigLabel, _SIGNATURES))
 _BY_SIGNATURE = {sig: label for label, sig in _TABLE.items()}
 
 
+def _signature(label: ConfigLabel) -> ConfigSignature:
+    """The table row of ``label``; anything but a :class:`ConfigLabel` is refused."""
+    if not isinstance(label, ConfigLabel):
+        raise GraphError(f"label {label!r} is not a ConfigLabel")
+    return _TABLE[label]
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
 
 class ClassificationError(ValueError):
-    """A classification precondition failed; ``reason`` states which one."""
+    """A precondition of the configuration layer failed; ``reason`` states which one."""
 
     def __init__(self, reason: str, message: str) -> None:
         super().__init__(message)
@@ -133,11 +140,7 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
     m = _CORE_ORDER
     if h.n != m:
         raise GraphError(f"classification needs order {m}, got {h.n}")
-    try:
-        u, v = normalize_edge(m, e)
-    except GraphError:
-        a, b = sorted(e) if type(e[0]) is type(e[1]) is int else e  # ints are named smaller first
-        raise GraphError(f"invalid designated edge ({a!r},{b!r})") from None
+    u, v = normalize_edge(m, e)
     if h.has_edge(u, v):
         raise GraphError(f"designated edge ({u},{v}) must be a non-edge")
 
@@ -177,7 +180,7 @@ class BuiltInstance:
 
 
 def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
-    """Embed a configuration into a host of order n >= 12.
+    """Embed a configuration into a host of order 12 <= n <= 64.
 
     Vertex layout: u's component first (u = 0), then v's component, then the
     leftover components by descending size, then X, then the n - 10 padding
@@ -186,11 +189,8 @@ def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
     n - 8.
     """
     m = _CORE_ORDER
-    if type(n) is not int:
-        _check_order(n, m + 2)  # refuses a non-int order; an int keeps the message below
-    if n < m + 2:
-        raise GraphError(f"host order {n} below {m + 2}")
-    sig = _TABLE[label]
+    _check_order(n, m + 2)
+    sig = _signature(label)
     u_size, v_size = sig.ends
     leftover_sizes = list(sig.component_sizes)
     leftover_sizes.remove(u_size)
@@ -230,8 +230,7 @@ def core_graph(host: Graph, e: Edge) -> Graph:
     indices, so core labels are unchanged). Raises :class:`GraphError` when
     the host has order below 10 or lacks e.
     """
-    if host.n < _CORE_ORDER:
-        raise GraphError(f"host order {host.n} below {_CORE_ORDER}")
+    _check_order(host.n, _CORE_ORDER)
     return delete_edge(delete_vertices(host, host.vertex_mask >> _CORE_ORDER << _CORE_ORDER), e)
 
 
@@ -249,24 +248,21 @@ def intersection_bounds(label: ConfigLabel) -> tuple[int, int]:
     larger end, factor-critical, gives its end vertex two neighbours that
     the other end vertex misses: hi = m - 3 when a = b = 1, else m - 5.
     """
-    (x_size, _, (a, b)), m = _TABLE[label], _CORE_ORDER
+    (x_size, _, (a, b)), m = _signature(label), _CORE_ORDER
     return m - x_size - a - b, m - 3 if a == b == 1 else m - 5
-
-
-class DegreeHypothesisError(ValueError):
-    """The host violates the minimum-degree hypothesis the bounds assume."""
 
 
 def check_intersection_bounds(host: Graph, e: Edge, label: ConfigLabel) -> bool:
     """Whether |N̄[u] ∩ N̄[v]| in the host falls inside the label's bounds.
 
-    Only valid under the standing hypothesis delta(host) >= n - 8; callers
-    vouch that the core of host and e classifies as ``label``.
+    Only valid under the standing hypothesis delta(host) >= n - 8, whose
+    failure is the precondition ``degree_hypothesis``; callers vouch that
+    the core of host and e classifies as ``label``.
     """
     n, m = host.n, _CORE_ORDER
+    lo, hi = intersection_bounds(label)
+    u, v = normalize_edge(n, e)
     delta = min_degree(host)
     if delta < n - m + 2:
-        raise DegreeHypothesisError(f"minimum degree {delta} below n-{m - 2} = {n - m + 2}")
-    count = common_nonneighborhood(host, *e).bit_count()
-    lo, hi = intersection_bounds(label)
-    return lo <= count <= hi
+        raise ClassificationError("degree_hypothesis", f"minimum degree {delta} below n-{m - 2} = {n - m + 2}")
+    return lo <= common_nonneighborhood(host, u, v).bit_count() <= hi

@@ -316,12 +316,12 @@ def kfc_and_minimal_batch(graphs: Sequence[Graph], k: int) -> tuple[int, int]:
     """:func:`kfc_and_minimal` of many graphs of one order n <= 16 at once, as
     two lanes: bit i of the first is set when ``graphs[i]`` is k-FC, and of
     the second when it is also minimal (see the module docstring)."""
-    if not graphs:
-        return 0, 0
-    n = _one_order(graphs)
+    n = _one_order(graphs) if graphs else 16  # an empty batch takes every k an order-16 batch takes
     if n > 16:
         raise GraphError("bit-sliced batches are limited to n <= 16")
     _check_k(n, k)
+    if not graphs:
+        return 0, 0
     return _batch_kernel(_edge_lanes(graphs, n), n, k, len(graphs))
 
 

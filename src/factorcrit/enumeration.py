@@ -243,8 +243,6 @@ def _parent_is_canonical(
 def _representatives(n: int) -> tuple[Graph, ...]:
     if n > 9:
         raise GraphError("exhaustive generation limited to n <= 9")
-    if n < 1:
-        raise GraphError("generation starts at order 1")
     if n == 1:
         return (_trusted(1, (0,)),)
 
@@ -303,8 +301,7 @@ def all_graphs(n: int) -> Iterator[Graph]:
     one-vertex deletions. An order outside 1..9 raises :class:`GraphError`
     on the call itself, before the first ``next``.
     """
-    if type(n) is not int:  # the cache would take 5.0 for 5 and True for 1
-        _check_order(n, 1)
+    _check_order(n, 1)  # before the cache, which would take 5.0 for 5 and True for 1
     return iter(_representatives(n))
 
 
@@ -344,6 +341,14 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+def _check_probability(p: float) -> None:
+    """Refuse an edge probability that is not an int or a float (a bool is neither) or lies outside [0, 1]."""
+    if type(p) not in (float, int):
+        raise GraphError(f"edge probability {p!r} is a {type(p).__name__}, not an int or a float")
+    if not 0 <= p <= 1:
+        raise GraphError(f"edge probability {p} outside [0, 1]")
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) from a SplitMix64 stream.
 
@@ -351,8 +356,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     one 64-bit draw and the edge is present iff draw < floor(p * 2**64).
     Bit-reproducible from (n, p, seed).
     """
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"edge probability {p} outside [0, 1]")
+    _check_probability(p)
     _check_order(n, 1)
     threshold = int(p * (1 << 64))
     rng = SplitMix64(seed)
@@ -374,16 +378,16 @@ def read_graph6_stream(lines: Iterable[str | bytes]) -> Iterator[Graph]:
     """Parse newline-delimited graph6 lines, str or bytes, in input order.
 
     Blank lines are skipped; as for ``str.strip``, the ASCII separators
-    ``\\x1c``..``\\x1f`` count as blank. A malformed or non-ASCII line raises
-    :class:`Graph6Error` naming its 1-based line number.
+    ``\\x1c``..``\\x1f`` count as blank. A malformed or non-ASCII line, or
+    one that is neither str nor bytes, raises :class:`Graph6Error` naming its
+    1-based line number.
     """
     for lineno, line in enumerate(lines, start=1):
         if isinstance(line, bytes) and line.isascii():
             line = line.decode("ascii")  # bytes.strip would keep \x1c..\x1f
-        stripped = line.strip()
-        if not stripped:
-            continue
+        if isinstance(line, (str, bytes)) and not (line := line.strip()):
+            continue  # blank; parse_graph6 refuses a line that is neither str nor bytes
         try:
-            yield parse_graph6(stripped)
+            yield parse_graph6(line)
         except Graph6Error as exc:
             raise Graph6Error(f"line {lineno}: {exc}") from None

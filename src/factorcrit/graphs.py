@@ -52,8 +52,11 @@ def _check_order(n: int, least: int) -> None:
 
 
 def normalize_edge(n: int, e: tuple[int, int]) -> Edge:
-    """``e`` as (u, v) with u < v: two distinct ints (a bool is none) in 0..n-1."""
-    u, v = e
+    """``e`` as (u, v) with u < v: a pair of distinct ints (a bool is none) in 0..n-1."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise GraphError(f"edge {e!r} is not a pair of vertices") from None
     if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
         raise GraphError(f"edge ({u!r},{v!r}) has endpoint outside 0..{n - 1}")
     if u == v:
@@ -188,6 +191,8 @@ _FROM_GRAPH6 = bytes.maketrans(_GRAPH6, _BASE64)
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode a single graph6 line (optional ``>>graph6<<`` header)."""
+    if not isinstance(text, (str, bytes)):
+        raise Graph6Error(f"graph6 input is a {type(text).__name__}, not str or bytes")
     try:
         line = (text.decode("ascii") if isinstance(text, bytes) else text).strip()
     except UnicodeDecodeError as exc:
@@ -351,11 +356,7 @@ def to_graph6(g: Graph) -> str:
 def common_nonneighborhood(g: Graph, u: int, v: int) -> VertexSet:
     """Vertices that are neither ``u`` nor ``v`` nor adjacent to either: the
     intersection of their closed non-neighborhoods."""
-    if u == v:
-        raise GraphError("common non-neighborhood needs two distinct vertices")
-    for x in (u, v):
-        if not (type(x) is int and 0 <= x < g.n):
-            raise GraphError(f"vertex {x!r} outside 0..{g.n - 1}")
+    u, v = normalize_edge(g.n, (u, v))
     return g.vertex_mask & ~(g.adj[u] | g.adj[v] | 1 << u | 1 << v)
 
 

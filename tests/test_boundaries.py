@@ -3,7 +3,8 @@
 One row per check: the call, and a pattern that only that check's message
 matches, so a row cannot pass on an earlier check of the same function.
 Then the argument contract: every public entry refuses an int argument of
-another type, a bool included, or outside its range, with GraphError.
+another type, a bool included, or outside its range, and a label, an edge
+probability or an edge of the wrong kind or shape, with GraphError.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import pytest
 from factorcrit import (
     ConfigLabel, Graph, Graph6Error, GraphError, SplitMix64, add_edge, all_graphs, build_instance,
     check_connectivity_properties, check_intersection_bounds, classify, common_nonneighborhood, core_graph,
-    delete_edge, delete_vertices, find_barrier_witnesses, graph6_lines, graph_from_edges, is_k_connected,
-    is_k_edge_connected, is_k_factor_critical, is_minimal_kfc, kfc_and_minimal, kfc_and_minimal_batch,
-    min_degree, minimality_certificate, minimalize, parse_graph6, random_graph,
+    delete_edge, delete_vertices, find_barrier_witnesses, graph6_lines, graph_from_edges, intersection_bounds,
+    is_k_connected, is_k_edge_connected, is_k_factor_critical, is_minimal_kfc, kfc_and_minimal,
+    kfc_and_minimal_batch, min_degree, minimality_certificate, minimalize, parse_graph6, random_graph,
+    read_graph6_stream,
 )
 from factorcrit.graphs import normalize_edge
 from conftest import disjoint_cliques
@@ -26,6 +28,10 @@ K3K7 = disjoint_cliques([3, 7])
 
 CHECKS = {
     "normalize_edge self-loop": (lambda: normalize_edge(3, (2, 2)), GraphError, r"self-loop at vertex 2"),
+    "normalize_edge triple": (
+        lambda: normalize_edge(3, (0, 1, 2)), GraphError, r"edge \(0, 1, 2\) is not a pair of vertices"
+    ),
+    "normalize_edge of type int": (lambda: normalize_edge(3, 3), GraphError, r"edge 3 is not a pair of vertices"),
     "Graph order": (lambda: Graph(65, (0,) * 65), GraphError, r"vertex count 65 outside 0\.\.64"),
     "Graph order of type float": (lambda: Graph(2.0, (2, 1)), GraphError, r"vertex count 2\.0 is a float, not an int"),
     "Graph order of type str": (lambda: Graph("2", (2, 1)), GraphError, r"vertex count '2' is a str, not an int"),
@@ -34,6 +40,16 @@ CHECKS = {
     "Graph self-loop": (lambda: Graph(2, (0b01, 0b00)), GraphError, r"self-loop at vertex 0"),
     "Graph row type": (lambda: Graph(2, (2.0, 1)), GraphError, r"adjacency of 0 is a float, not an int"),
     "graph6 8-byte prefix": (lambda: parse_graph6("~~????"), Graph6Error, r"8-byte size prefix"),
+    "graph6 input None": (
+        lambda: parse_graph6(None), Graph6Error, r"graph6 input is a NoneType, not str or bytes"
+    ),
+    "graph6 input of type int": (lambda: parse_graph6(5), Graph6Error, r"graph6 input is a int, not str or bytes"),
+    "graph6 stream line None": (
+        lambda: list(read_graph6_stream([None])), Graph6Error, r"line 1: graph6 input is a NoneType"
+    ),
+    "graph6 stream second line None": (
+        lambda: list(read_graph6_stream(["C~\n", None])), Graph6Error, r"line 2: graph6 input is a NoneType"
+    ),
     "min_degree of the empty graph": (lambda: min_degree(Graph(0, ())), GraphError, r"empty graph"),
     "graph_from_edges order of type float": (
         lambda: graph_from_edges(2.0, []), GraphError, r"vertex count 2\.0 is a float, not an int"
@@ -51,18 +67,18 @@ CHECKS = {
         lambda: find_barrier_witnesses(complete_graph(13), 4), GraphError, r"limited to n <= 12"
     ),
     "classify edge endpoint": (
-        lambda: classify(disjoint_cliques([3, 7]), (0, 10)), GraphError, r"invalid designated edge \(0,10\)"
+        lambda: classify(disjoint_cliques([3, 7]), (0, 10)), GraphError, r"edge \(0,10\) has endpoint outside 0\.\.9"
     ),
     "classify edge endpoint of type float": (
-        lambda: classify(disjoint_cliques([3, 7]), (0, 1.0)), GraphError, r"invalid designated edge \(0,1\.0\)"
+        lambda: classify(disjoint_cliques([3, 7]), (0, 1.0)), GraphError, r"edge \(0,1\.0\) has endpoint outside 0\.\.9"
     ),
     "classify edge self-loop": (
-        lambda: classify(disjoint_cliques([3, 7]), (3, 3)), GraphError, r"invalid designated edge \(3,3\)"
+        lambda: classify(disjoint_cliques([3, 7]), (3, 3)), GraphError, r"self-loop at vertex 3"
     ),
     "core_graph host order 9": (
-        lambda: core_graph(complete_graph(9), (0, 1)), GraphError, r"host order 9 below 10"
+        lambda: core_graph(complete_graph(9), (0, 1)), GraphError, r"vertex count 9 outside 10\.\.64"
     ),
-    "all_graphs(0)": (lambda: all_graphs(0), GraphError, r"generation starts at order 1"),
+    "all_graphs(0)": (lambda: all_graphs(0), GraphError, r"vertex count 0 outside 1\.\.64"),
     "random_graph order 0": (lambda: random_graph(0, 0.5, 0), GraphError, r"vertex count 0 outside 1\.\.64"),
     "random_graph order 65": (lambda: random_graph(65, 0.5, 0), GraphError, r"vertex count 65 outside 1\.\.64"),
     "random_graph order of type float": (
@@ -70,6 +86,18 @@ CHECKS = {
     ),
     "random_graph order of type bool": (
         lambda: random_graph(True, 0.5, 0), GraphError, r"vertex count True is a bool, not an int"
+    ),
+    "random_graph probability of type str": (
+        lambda: random_graph(5, "0.5", 0), GraphError, r"edge probability '0\.5' is a str, not an int or a float"
+    ),
+    "random_graph probability of type bool": (
+        lambda: random_graph(5, True, 0), GraphError, r"edge probability True is a bool, not an int or a float"
+    ),
+    "random_graph probability nan": (
+        lambda: random_graph(5, float("nan"), 0), GraphError, r"edge probability nan outside \[0, 1\]"
+    ),
+    "build_instance label of type str": (
+        lambda: build_instance("C1", 12), GraphError, r"label 'C1' is not a ConfigLabel"
     ),
     "connectivity consequences k = 0": (
         lambda: check_connectivity_properties(C5, 0), GraphError, r"k=0 outside 1\.\.4"
@@ -109,6 +137,7 @@ ARGUMENTS = {
     "is_minimal_kfc k": (lambda x: is_minimal_kfc(C5, x), (-1, 5)),
     "kfc_and_minimal k": (lambda x: kfc_and_minimal(C5, x), (-1, 5)),
     "kfc_and_minimal_batch k": (lambda x: kfc_and_minimal_batch([C5], x), (-1, 5)),
+    "kfc_and_minimal_batch k of an empty batch": (lambda x: kfc_and_minimal_batch([], x), (-1, 16)),
     "minimality_certificate k": (lambda x: minimality_certificate(C5, x, (0, 1)), (-1, 5)),
     "minimality_certificate endpoint": (lambda x: minimality_certificate(C5, 1, (0, x)), (-1, 5)),
     "minimalize k": (lambda x: minimalize(C5, x, 0), (-1, 5)),
@@ -125,10 +154,30 @@ ARGUMENTS = {
     "random_graph seed": (lambda x: random_graph(5, 0.5, x), ()),
     "SplitMix64 seed": (lambda x: SplitMix64(x), ()),
 }
+# The other argument kinds: each row is one argument that is not an int, and
+# the values it refuses.
+LABELS = ("C1", 1, None)
+EDGE_SHAPES = ((0,), (0, 1, 2), 3, None)
+KINDS = {
+    "build_instance label": (lambda x: build_instance(x, 12), LABELS),
+    "intersection_bounds label": (lambda x: intersection_bounds(x), LABELS),
+    "check_intersection_bounds label": (lambda x: check_intersection_bounds(HOST.graph, HOST.edge, x), LABELS),
+    "random_graph probability": (lambda x: random_graph(5, x, 0), ("0.5", None, True, -0.1, 1.5, float("nan"))),
+    "graph_from_edges edge": (lambda x: graph_from_edges(3, [x]), EDGE_SHAPES),
+    "add_edge edge": (lambda x: add_edge(C5, x), EDGE_SHAPES),
+    "delete_edge edge": (lambda x: delete_edge(C5, x), EDGE_SHAPES),
+    "minimality_certificate edge": (lambda x: minimality_certificate(C5, 1, x), EDGE_SHAPES),
+    "classify edge": (lambda x: classify(K3K7, x), EDGE_SHAPES),
+    "core_graph edge": (lambda x: core_graph(HOST.graph, x), EDGE_SHAPES),
+    "check_intersection_bounds edge": (
+        lambda x: check_intersection_bounds(HOST.graph, x, ConfigLabel.C1), EDGE_SHAPES
+    ),
+}
+REFUSED = {name: (call, OTHER_TYPES + out_of_range) for name, (call, out_of_range) in ARGUMENTS.items()} | KINDS
 CONTRACT = {
     f"{name} {value!r}": (lambda call=call, value=value: call(value))
-    for name, (call, out_of_range) in ARGUMENTS.items()
-    for value in OTHER_TYPES + out_of_range
+    for name, (call, refused) in REFUSED.items()
+    for value in refused
 } | {"graph6_lines of mixed orders": lambda: graph6_lines([C5, complete_graph(4)])}
 
 
@@ -138,11 +187,14 @@ def test_argument_contract(call):
         call()
 
 
-# Calls the contract leaves alone: every int is a seed, a connectivity order
-# above n only makes the answer False, and a query checks nothing.
+# Calls the contract leaves alone: every int is a seed, an int probability
+# is the float of the same value, a connectivity order above n only makes
+# the answer False, and a query checks nothing.
 ANSWERS = {
     "random_graph seed -1": (lambda: random_graph(5, 0.5, -1), random_graph(5, 0.5, (1 << 64) - 1)),
     "random_graph seed 99": (lambda: random_graph(5, 0.5, 99).n, 5),
+    "random_graph probability 1 is 1.0": (lambda: random_graph(5, 1, 7), random_graph(5, 1.0, 7)),
+    "random_graph probability 0 is 0.0": (lambda: random_graph(5, 0, 7), random_graph(5, 0.0, 7)),
     "minimalize seed -1": (lambda: minimalize(C5, 1, -1), C5),
     "minimalize seed 99": (lambda: minimalize(C5, 1, 99), C5),
     "is_k_connected k = 99": (lambda: is_k_connected(C5, 99), False),

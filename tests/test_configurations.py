@@ -9,7 +9,6 @@ import pytest
 from factorcrit import (
     ClassificationError,
     ConfigLabel,
-    DegreeHypothesisError,
     GraphError,
     add_edge,
     bits,
@@ -321,5 +320,6 @@ class TestIntersectionBounds:
         target = 10  # first padding vertex
         for w in list(bits(weak.adj[target]))[:5]:
             weak = delete_edge(weak, (min(target, w), max(target, w)))
-        with pytest.raises(DegreeHypothesisError):
+        with pytest.raises(ClassificationError, match=r"minimum degree 3 below n-8 = 4") as exc:
             check_intersection_bounds(weak, inst.edge, ConfigLabel.C1)
+        assert exc.value.reason == "degree_hypothesis"

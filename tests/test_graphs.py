@@ -233,7 +233,7 @@ class TestNeighborhoods:
 
     def test_out_of_range(self):
         for u, v in ((5, 0), (0, 5)):
-            with pytest.raises(GraphError, match="vertex 5 outside 0..4"):
+            with pytest.raises(GraphError, match=rf"edge \({u},{v}\) has endpoint outside 0\.\.4"):
                 common_nonneighborhood(cycle_graph(5), u, v)
 
     def test_common_cycle(self):

@@ -30,7 +30,6 @@ from .configurations import ClassificationError, classify
 from .criticality import (
     NotKFactorCriticalError,
     _batch_kernel,
-    _check_k,
     _edge_lanes,
     check_connectivity_properties,
     is_minimal_kfc,
@@ -40,8 +39,8 @@ from .criticality import (
 from .decomp import gallai_edmonds
 from .enumeration import _check_probability, _representatives, random_graph, read_graph6_stream
 from .graphs import (
-    Graph, Graph6Error, GraphError, _check_order, _pack_rows, _rows_graph6, _rows_min_degrees, bits, min_degree,
-    parse_graph6, to_graph6,
+    MAX_VERTICES, Graph, Graph6Error, GraphError, _check_int, _pack_rows, _rows_graph6, _rows_min_degrees, bits,
+    min_degree, parse_graph6, to_graph6,
 )
 from .matching import deficiency
 
@@ -203,16 +202,14 @@ def verify_scan(args: argparse.Namespace) -> int:
     n, k, source, fmt, jobs = args.n, args.k, args.source, args.format, args.jobs
     if (n + k) % 2:
         raise GraphError(f"n + k must be even, got n={n}, k={k}")
-    _check_k(n, k)
-    if args.samples < 1:
-        raise GraphError(f"samples={args.samples} must be at least 1")
-    if jobs < 1:
-        raise GraphError(f"jobs={jobs} must be at least 1")
+    _check_int("k", k, 0, n - 1)
+    _check_int("samples", args.samples, 1)
+    _check_int("jobs", jobs, 1)
     _check_probability(args.p)
 
     data, worker = None, None
     if source == "sample":
-        _check_order(n, 1)  # random_graph's check, before the tsv header
+        _check_int("vertex count", n, 1, MAX_VERTICES)  # random_graph's check, before the tsv header
         scanned = args.samples
         worker, tasks = _sample_worker, ((n, args.p, k, args.seed + i) for i in range(scanned))
         # a sampled graph is minimal by construction

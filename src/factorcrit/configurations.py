@@ -24,8 +24,10 @@ from .graphs import (
     Edge,
     Graph,
     GraphError,
+    MAX_VERTICES,
     VertexSet,
-    _check_order,
+    _check_int,
+    _order_of,
     add_edge,
     common_nonneighborhood,
     delete_edge,
@@ -138,8 +140,7 @@ def classify(h: Graph, e: tuple[int, int]) -> ClassificationResult:
     the (|X|, bitmask) search order, so the first one is canonical.
     """
     m = _CORE_ORDER
-    if h.n != m:
-        raise GraphError(f"classification needs order {m}, got {h.n}")
+    _check_int("classification order", _order_of(h), m, m)
     u, v = normalize_edge(m, e)
     if h.has_edge(u, v):
         raise GraphError(f"designated edge ({u},{v}) must be a non-edge")
@@ -189,7 +190,7 @@ def build_instance(label: ConfigLabel, n: int) -> BuiltInstance:
     n - 8.
     """
     m = _CORE_ORDER
-    _check_order(n, m + 2)
+    _check_int("vertex count", n, m + 2, MAX_VERTICES)
     sig = _signature(label)
     u_size, v_size = sig.ends
     leftover_sizes = list(sig.component_sizes)
@@ -230,7 +231,7 @@ def core_graph(host: Graph, e: Edge) -> Graph:
     indices, so core labels are unchanged). Raises :class:`GraphError` when
     the host has order below 10 or lacks e.
     """
-    _check_order(host.n, _CORE_ORDER)
+    _check_int("vertex count", _order_of(host), _CORE_ORDER, MAX_VERTICES)
     return delete_edge(delete_vertices(host, host.vertex_mask >> _CORE_ORDER << _CORE_ORDER), e)
 
 
@@ -259,7 +260,7 @@ def check_intersection_bounds(host: Graph, e: Edge, label: ConfigLabel) -> bool:
     failure is the precondition ``degree_hypothesis``; callers vouch that
     the core of host and e classifies as ``label``.
     """
-    n, m = host.n, _CORE_ORDER
+    n, m = _order_of(host), _CORE_ORDER
     lo, hi = intersection_bounds(label)
     u, v = normalize_edge(n, e)
     delta = min_degree(host)

@@ -80,8 +80,10 @@ from .graphs import (
     Graph,
     GraphError,
     VertexSet,
+    _check_int,
     _k_subsets_ascending,
     _one_order,
+    _order_of,
     _pack_rows,
     _row_bytes,
     _trusted,
@@ -96,12 +98,6 @@ from .matching import _augment, _match_array
 class NotKFactorCriticalError(GraphError):
     """The input graph is not k-factor-critical, as minimalization and
     minimality certificates require."""
-
-
-def _check_k(n: int, k: int) -> None:
-    """Refuse a k that is not an int (a bool is none) or lies outside 0..n-1."""
-    if not (type(k) is int and 0 <= k < n):
-        raise GraphError(f"k={k!r} outside 0..{n - 1}")
 
 
 def _first_failing_subset(
@@ -168,7 +164,7 @@ def is_k_factor_critical(g: Graph, k: int) -> tuple[bool, VertexSet | None]:
 
     False immediately when n + k is odd.
     """
-    _check_k(g.n, k)
+    _check_int("k", k, 0, _order_of(g) - 1)
     if (g.n + k) % 2:
         return False, None
     failing = _first_failing_subset(g.n, g.adj, k)
@@ -203,10 +199,10 @@ def minimality_certificate(g: Graph, k: int, e: tuple[int, int]) -> MinimalityCe
 
     Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """
-    u, v = normalize_edge(g.n, e)
+    u, v = normalize_edge(_order_of(g), e)
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not present")
-    _check_k(g.n, k)
+    _check_int("k", k, 0, g.n - 1)
     w = _Witnesses(g, k)
     if w.failing is not None:
         raise NotKFactorCriticalError("minimality certificates require a k-factor-critical graph")
@@ -224,7 +220,7 @@ def is_minimal_kfc(g: Graph, k: int) -> CriticalityReport:
     k-FC); the graph is minimal iff there are none. One sweep serves the
     k-FC test and every edge.
     """
-    _check_k(g.n, k)
+    _check_int("k", k, 0, _order_of(g) - 1)
     w = _Witnesses(g, k)
     if w.failing is not None:
         return CriticalityReport(
@@ -250,7 +246,7 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     """(k-factor-critical, minimal) from one sweep, without certificates:
     the edge tests stop at the first deletable edge. Minimum degree <= k
     fails before the sweep (see the module docstring)."""
-    _check_k(g.n, k)
+    _check_int("k", k, 0, _order_of(g) - 1)
     if min_degree(g) <= k:
         return False, False
     w = _Witnesses(g, k)
@@ -317,9 +313,8 @@ def kfc_and_minimal_batch(graphs: Sequence[Graph], k: int) -> tuple[int, int]:
     two lanes: bit i of the first is set when ``graphs[i]`` is k-FC, and of
     the second when it is also minimal (see the module docstring)."""
     n = _one_order(graphs) if graphs else 16  # an empty batch takes every k an order-16 batch takes
-    if n > 16:
-        raise GraphError("bit-sliced batches are limited to n <= 16")
-    _check_k(n, k)
+    _check_int("batch order", n, 0, 16)
+    _check_int("k", k, 0, n - 1)
     if not graphs:
         return 0, 0
     return _batch_kernel(_edge_lanes(graphs, n), n, k, len(graphs))
@@ -385,7 +380,7 @@ def minimalize(g: Graph, k: int, seed: int) -> Graph:
 
     Raises :class:`NotKFactorCriticalError` when g is not k-FC.
     """
-    _check_k(g.n, k)
+    _check_int("k", k, 0, _order_of(g) - 1)
     order = g.edges()
     SplitMix64(seed).shuffle(order)
     adj = list(g.adj)
@@ -414,8 +409,7 @@ def check_connectivity_properties(g: Graph, k: int) -> bool:
 
     The caller vouches that g is k-FC; only parity and range are re-checked.
     """
-    if not (type(k) is int and 1 <= k < g.n):
-        raise GraphError(f"k={k!r} outside 1..{g.n - 1}")
+    _check_int("k", k, 1, _order_of(g) - 1)
     if (g.n + k) % 2:
         raise GraphError("n + k must be even for a k-factor-critical graph")
     if not is_k_connected(g, k):

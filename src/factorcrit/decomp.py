@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, VertexSet, _components_masked, _k_subsets_ascending, bits
+from .graphs import Graph, GraphError, VertexSet, _check_int, _components_masked, _k_subsets_ascending, _order_of, bits
 from .matching import _find_augmenting, _has_pm, _match_array
 
 
@@ -35,7 +35,7 @@ def is_factor_critical(g: Graph) -> bool:
     graph, whose perfect matching is vacuous. The empty graph has even order
     and does not.
     """
-    return _factor_critical(g.n, g.adj, g.vertex_mask)
+    return _factor_critical(_order_of(g), g.adj, g.vertex_mask)
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def gallai_edmonds(g: Graph) -> GEDecomposition:
     exposed vertex gets stuck, and D is the union of the outer vertices of
     these trees, the ends of even alternating paths from exposed vertices
     (Lovasz & Plummer, Matching Theory, 3.2). A and C follow from D."""
-    n, adj = g.n, g.adj
-    full = g.vertex_mask
+    n, adj, full = _order_of(g), g.adj, g.vertex_mask
     match = _match_array(n, adj, full)
     d = 0
     for v in range(n):
@@ -120,13 +119,11 @@ def find_barrier_witnesses(g: Graph, max_x: int) -> list[BarrierWitness]:
     ``max_x`` of at least that bound guarantees a nonempty result. A graph
     of deficiency 1 has no set meeting the +2 margin and yields [].
     """
-    if g.n > 12:
-        raise GraphError("exhaustive barrier search limited to n <= 12")
-    if not (type(max_x) is int and 0 <= max_x <= g.n):
-        raise GraphError(f"max_x={max_x!r} outside 0..{g.n}")
-    if _has_pm(g.n, g.adj, g.vertex_mask):
+    n, adj, full = _order_of(g), g.adj, g.vertex_mask
+    _check_int("barrier search order", n, 0, 12)
+    _check_int("max_x", max_x, 0, n)
+    if _has_pm(n, adj, full):
         raise GraphError("graph has a perfect matching; no barrier witness exists")
-    n, adj, full = g.n, g.adj, g.vertex_mask
     fc_cache: dict[int, bool] = {}
     out = []
     for size in range(max_x + 1):

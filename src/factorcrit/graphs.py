@@ -12,6 +12,7 @@ import binascii
 import struct
 from dataclasses import dataclass
 from itertools import chain
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -43,12 +44,12 @@ def mask_of(vertices: Iterable[int]) -> VertexSet:
     return m
 
 
-def _check_order(n: int, least: int) -> None:
-    """Refuse an order that is not an int (a bool is none) or lies outside least..MAX_VERTICES."""
-    if type(n) is not int:
-        raise GraphError(f"vertex count {n!r} is a {type(n).__name__}, not an int")
-    if not least <= n <= MAX_VERTICES:
-        raise GraphError(f"vertex count {n} outside {least}..{MAX_VERTICES}")
+def _check_int(name: str, value: int, least: float = -inf, most: float = inf) -> None:
+    """Refuse a value of the int argument ``name`` that is not an int (a bool is none) or lies outside least..most."""
+    if type(value) is not int:
+        raise GraphError(f"{name} {value!r} is a {type(value).__name__}, not an int")
+    if not least <= value <= most:
+        raise GraphError(f"{name} {value} outside {least}..{most}")
 
 
 def normalize_edge(n: int, e: tuple[int, int]) -> Edge:
@@ -66,7 +67,7 @@ def normalize_edge(n: int, e: tuple[int, int]) -> Edge:
 
 def _one_order(graphs: Sequence[Graph]) -> int:
     """The order of a nonempty batch; a batch of mixed orders is refused."""
-    orders = {g.n for g in graphs}
+    orders = {_order_of(g) for g in graphs}
     if len(orders) > 1:
         raise GraphError(f"batch mixes graphs of orders {sorted(orders)}")
     return graphs[0].n
@@ -108,7 +109,7 @@ class Graph:
         adj = tuple(self.adj)  # a caller's list would leave the graph mutable and unhashable
         object.__setattr__(self, "adj", adj)
         n = self.n
-        _check_order(n, 0)
+        _check_int("vertex count", n, 0, MAX_VERTICES)
         if len(adj) != n:
             raise GraphError("adjacency length does not match vertex count")
         full = (1 << n) - 1
@@ -149,6 +150,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def _order_of(g: Graph) -> int:
+    """The order of the graph argument ``g``; anything but a Graph is refused."""
+    if not isinstance(g, Graph):
+        raise GraphError(f"graph argument is a {type(g).__name__}, not a Graph")
+    return g.n
+
+
 def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
     """A Graph from adjacency that is valid by construction; no checks."""
     g = object.__new__(Graph)
@@ -159,7 +167,7 @@ def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
-    _check_order(n, 1)
+    _check_int("vertex count", n, 1, MAX_VERTICES)
     rows = [0] * n
     for e in edges:
         u, v = normalize_edge(n, e)
@@ -345,7 +353,7 @@ def graph6_lines(graphs: Sequence[Graph]) -> bytes:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 line (no trailing newline)."""
-    return _rows_graph6(_pack_rows((g,), g.n), g.n, 1)[:-1].decode("ascii")
+    return graph6_lines((g,))[:-1].decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +364,12 @@ def to_graph6(g: Graph) -> str:
 def common_nonneighborhood(g: Graph, u: int, v: int) -> VertexSet:
     """Vertices that are neither ``u`` nor ``v`` nor adjacent to either: the
     intersection of their closed non-neighborhoods."""
-    u, v = normalize_edge(g.n, (u, v))
+    u, v = normalize_edge(_order_of(g), (u, v))
     return g.vertex_mask & ~(g.adj[u] | g.adj[v] | 1 << u | 1 << v)
 
 
 def min_degree(g: Graph) -> int:
-    if g.n == 0:
+    if _order_of(g) == 0:
         raise GraphError("minimum degree of the empty graph is undefined")
     return min(map(int.bit_count, g.adj))
 
@@ -387,9 +395,8 @@ def _delete_vertex_rows(n: int, adj: tuple[int, ...], v: int) -> tuple[int, ...]
 def delete_vertices(g: Graph, s: VertexSet) -> Graph:
     """Induced subgraph on V minus ``s``; survivors relabeled densely, in
     ascending order."""
-    if type(s) is not int or s & ~g.vertex_mask:
-        raise GraphError("deletion set contains vertices outside the graph")
-    n, rows = g.n, g.adj
+    n, rows = _order_of(g), g.adj
+    _check_int("deletion set", s, 0, g.vertex_mask)
     # highest label first, so the labels still to delete stay put
     for v in reversed(list(bits(s))):
         rows = _delete_vertex_rows(n, rows, v)
@@ -398,7 +405,7 @@ def delete_vertices(g: Graph, s: VertexSet) -> Graph:
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    u, v = normalize_edge(g.n, e)
+    u, v = normalize_edge(_order_of(g), e)
     if not g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) not present")
     rows = list(g.adj)
@@ -408,7 +415,7 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
 
 
 def add_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    u, v = normalize_edge(g.n, e)
+    u, v = normalize_edge(_order_of(g), e)
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u},{v}) already present")
     rows = list(g.adj)
@@ -453,9 +460,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
     Follows the usual convention that the complete graph K_n is
     (n-1)-connected.
     """
-    if type(k) is not int or k < 0:
-        raise GraphError("connectivity order must be nonnegative")
-    n = g.n
+    n = _order_of(g)
+    _check_int("connectivity order", k, 0)
     if n <= k:
         return False
     full = g.vertex_mask
@@ -474,9 +480,8 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
     to every other t. Each t takes at most k augmenting paths of unit
     capacity, found by BFS in the residual graph.
     """
-    if type(k) is not int or k < 0:
-        raise GraphError("connectivity order must be nonnegative")
-    n = g.n
+    n = _order_of(g)
+    _check_int("connectivity order", k, 0)
     if n <= k:
         return False
     adj = g.adj

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, VertexSet
+from .graphs import Edge, Graph, VertexSet, _order_of
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def _has_pm(n: int, adj: tuple[int, ...], sub: int) -> bool:
 
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching; deterministic for a fixed labeling."""
-    match = _match_array(g.n, g.adj, g.vertex_mask)
+    match = _match_array(_order_of(g), g.adj, g.vertex_mask)
     assert match is not None
     edges = []
     covered = 0
@@ -223,10 +223,10 @@ def max_matching(g: Graph) -> Matching:
 
 
 def has_perfect_matching(g: Graph) -> bool:
-    return _has_pm(g.n, g.adj, g.vertex_mask)
+    return _has_pm(_order_of(g), g.adj, g.vertex_mask)
 
 
 def deficiency(g: Graph) -> int:
     """Number of vertices missed by a maximum matching."""
-    return g.n - 2 * _matching_size(g.n, g.adj, g.vertex_mask)
+    return (n := _order_of(g)) - 2 * _matching_size(n, g.adj, g.vertex_mask)
 

@@ -3,8 +3,9 @@
 One row per check: the call, and a pattern that only that check's message
 matches, so a row cannot pass on an earlier check of the same function.
 Then the argument contract: every public entry refuses an int argument of
-another type, a bool included, or outside its range, and a label, an edge
-probability or an edge of the wrong kind or shape, with GraphError.
+another type, a bool included, or outside its range, a graph argument that
+is not a Graph, and a label, an edge probability or an edge of the wrong
+kind or shape, with GraphError.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import pytest
 
 from factorcrit import (
-    ConfigLabel, Graph, Graph6Error, GraphError, SplitMix64, add_edge, all_graphs, build_instance,
+    ConfigLabel, Graph, Graph6Error, GraphError, SplitMix64, add_edge, all_graphs, build_instance, canonical_form,
     check_connectivity_properties, check_intersection_bounds, classify, common_nonneighborhood, core_graph,
-    delete_edge, delete_vertices, find_barrier_witnesses, graph6_lines, graph_from_edges, intersection_bounds,
-    is_k_connected, is_k_edge_connected, is_k_factor_critical, is_minimal_kfc, kfc_and_minimal,
-    kfc_and_minimal_batch, min_degree, minimality_certificate, minimalize, parse_graph6, random_graph,
-    read_graph6_stream,
+    deficiency, delete_edge, delete_vertices, find_barrier_witnesses, gallai_edmonds, graph6_lines,
+    graph_from_edges, has_perfect_matching, intersection_bounds, is_factor_critical, is_k_connected,
+    is_k_edge_connected, is_k_factor_critical, is_minimal_kfc, kfc_and_minimal, kfc_and_minimal_batch,
+    max_matching, min_degree, minimality_certificate, minimalize, parse_graph6, random_graph, read_graph6_stream,
+    to_graph6,
 )
 from factorcrit.graphs import normalize_edge
 from conftest import disjoint_cliques
@@ -50,6 +52,12 @@ CHECKS = {
     "graph6 stream second line None": (
         lambda: list(read_graph6_stream(["C~\n", None])), Graph6Error, r"line 2: graph6 input is a NoneType"
     ),
+    "graph6 stream of one str": (
+        lambda: list(read_graph6_stream("C~\n")), Graph6Error, r"^graph6 stream is one str, not an iterable of lines$"
+    ),
+    "graph6 stream of one bytes": (
+        lambda: list(read_graph6_stream(b"C~\n")), Graph6Error, r"^graph6 stream is one bytes, not an iterable"
+    ),
     "min_degree of the empty graph": (lambda: min_degree(Graph(0, ())), GraphError, r"empty graph"),
     "graph_from_edges order of type float": (
         lambda: graph_from_edges(2.0, []), GraphError, r"vertex count 2\.0 is a float, not an int"
@@ -61,10 +69,29 @@ CHECKS = {
         lambda: graph_from_edges(3, [(0, 1.0)]), GraphError, r"edge \(0,1\.0\) has endpoint outside 0\.\.2"
     ),
     "add_edge endpoint": (lambda: add_edge(C5, (0, 5)), GraphError, r"edge \(0,5\) has endpoint outside 0\.\.4"),
-    "negative vertex connectivity": (lambda: is_k_connected(C5, -1), GraphError, r"must be nonnegative"),
-    "negative edge connectivity": (lambda: is_k_edge_connected(C5, -1), GraphError, r"must be nonnegative"),
+    "negative vertex connectivity": (
+        lambda: is_k_connected(C5, -1), GraphError, r"connectivity order -1 outside 0\.\.inf"
+    ),
+    "negative edge connectivity": (
+        lambda: is_k_edge_connected(C5, -1), GraphError, r"connectivity order -1 outside 0\.\.inf"
+    ),
+    "delete_vertices set above the graph": (
+        lambda: delete_vertices(C5, 1 << 5), GraphError, r"deletion set 32 outside 0\.\.31"
+    ),
     "barrier search above 12": (
-        lambda: find_barrier_witnesses(complete_graph(13), 4), GraphError, r"limited to n <= 12"
+        lambda: find_barrier_witnesses(complete_graph(13), 4), GraphError, r"barrier search order 13 outside 0\.\.12"
+    ),
+    "canonical form above 16": (
+        lambda: canonical_form(graph_from_edges(17, [])), GraphError, r"canonical form order 17 outside 0\.\.16"
+    ),
+    "bit-sliced batch above 16": (
+        lambda: kfc_and_minimal_batch([complete_graph(17)], 2), GraphError, r"batch order 17 outside 0\.\.16"
+    ),
+    "classify order 9": (
+        lambda: classify(complete_graph(9), (0, 1)), GraphError, r"classification order 9 outside 10\.\.10"
+    ),
+    "classify order 11": (
+        lambda: classify(complete_graph(11), (0, 1)), GraphError, r"classification order 11 outside 10\.\.10"
     ),
     "classify edge endpoint": (
         lambda: classify(disjoint_cliques([3, 7]), (0, 10)), GraphError, r"edge \(0,10\) has endpoint outside 0\.\.9"
@@ -78,7 +105,8 @@ CHECKS = {
     "core_graph host order 9": (
         lambda: core_graph(complete_graph(9), (0, 1)), GraphError, r"vertex count 9 outside 10\.\.64"
     ),
-    "all_graphs(0)": (lambda: all_graphs(0), GraphError, r"vertex count 0 outside 1\.\.64"),
+    "all_graphs(0)": (lambda: all_graphs(0), GraphError, r"exhaustive generation order 0 outside 1\.\.9"),
+    "all_graphs(10)": (lambda: all_graphs(10), GraphError, r"exhaustive generation order 10 outside 1\.\.9"),
     "random_graph order 0": (lambda: random_graph(0, 0.5, 0), GraphError, r"vertex count 0 outside 1\.\.64"),
     "random_graph order 65": (lambda: random_graph(65, 0.5, 0), GraphError, r"vertex count 65 outside 1\.\.64"),
     "random_graph order of type float": (
@@ -100,10 +128,10 @@ CHECKS = {
         lambda: build_instance("C1", 12), GraphError, r"label 'C1' is not a ConfigLabel"
     ),
     "connectivity consequences k = 0": (
-        lambda: check_connectivity_properties(C5, 0), GraphError, r"k=0 outside 1\.\.4"
+        lambda: check_connectivity_properties(C5, 0), GraphError, r"k 0 outside 1\.\.4"
     ),
     "connectivity consequences k = n": (
-        lambda: check_connectivity_properties(C5, 5), GraphError, r"k=5 outside 1\.\.4"
+        lambda: check_connectivity_properties(C5, 5), GraphError, r"k 5 outside 1\.\.4"
     ),
 }
 
@@ -184,6 +212,54 @@ CONTRACT = {
 @pytest.mark.parametrize("call", CONTRACT.values(), ids=CONTRACT.keys())
 def test_argument_contract(call):
     with pytest.raises(GraphError):
+        call()
+
+
+# The graph argument: each row is one public entry that takes a graph, with
+# valid other arguments. Every value in place of the graph, and a batch that
+# holds one, is refused by the graph check, whose message no other check writes.
+NOT_GRAPHS = (None, [], (5, C5.adj), "DqK")
+GRAPH_ENTRIES = {
+    "to_graph6": to_graph6,
+    "common_nonneighborhood": lambda g: common_nonneighborhood(g, 0, 2),
+    "min_degree": min_degree,
+    "delete_vertices": lambda g: delete_vertices(g, 1),
+    "delete_edge": lambda g: delete_edge(g, (0, 1)),
+    "add_edge": lambda g: add_edge(g, (0, 2)),
+    "is_k_connected": lambda g: is_k_connected(g, 2),
+    "is_k_edge_connected": lambda g: is_k_edge_connected(g, 2),
+    "max_matching": max_matching,
+    "has_perfect_matching": has_perfect_matching,
+    "deficiency": deficiency,
+    "is_factor_critical": is_factor_critical,
+    "gallai_edmonds": gallai_edmonds,
+    "find_barrier_witnesses": lambda g: find_barrier_witnesses(g, 1),
+    "is_k_factor_critical": lambda g: is_k_factor_critical(g, 1),
+    "minimality_certificate": lambda g: minimality_certificate(g, 1, (0, 1)),
+    "is_minimal_kfc": lambda g: is_minimal_kfc(g, 1),
+    "kfc_and_minimal": lambda g: kfc_and_minimal(g, 1),
+    "minimalize": lambda g: minimalize(g, 1, 0),
+    "check_connectivity_properties": lambda g: check_connectivity_properties(g, 1),
+    "classify": lambda g: classify(g, (0, 3)),
+    "core_graph": lambda g: core_graph(g, (0, 1)),
+    "check_intersection_bounds": lambda g: check_intersection_bounds(g, (0, 1), ConfigLabel.C1),
+    "canonical_form": canonical_form,
+}
+BATCH_ENTRIES = {"graph6_lines": graph6_lines, "kfc_and_minimal_batch": lambda b: kfc_and_minimal_batch(b, 1)}
+GRAPH_CONTRACT = {
+    f"{name} {value!r}": (lambda call=call, value=value: call(value))
+    for name, call in GRAPH_ENTRIES.items()
+    for value in NOT_GRAPHS
+} | {
+    f"{name} {label}": (lambda call=call, batch=batch: call(batch))
+    for name, call in BATCH_ENTRIES.items()
+    for label, batch in (("[None]", [None]), ("[C5, None]", [C5, None]))
+}
+
+
+@pytest.mark.parametrize("call", GRAPH_CONTRACT.values(), ids=GRAPH_CONTRACT.keys())
+def test_graph_argument_contract(call):
+    with pytest.raises(GraphError, match=r"^graph argument is a \w+, not a Graph$"):
         call()
 
 

@@ -197,7 +197,7 @@ class TestBarrierWitnesses:
     @pytest.mark.parametrize("max_x", [-1, 11])
     def test_rejects_max_x_out_of_range(self, max_x):
         g = disjoint_cliques([3, 7])
-        with pytest.raises(GraphError, match=f"max_x={max_x} outside 0..10"):
+        with pytest.raises(GraphError, match=f"max_x {max_x} outside 0..10"):
             find_barrier_witnesses(g, max_x)
 
     def test_ordering_and_flags(self):

@@ -262,9 +262,43 @@ class TestCanonicalForm:
         assert len(graphs) == 1552
         assert hashlib.sha256(forms).hexdigest() == CANONICAL_FORMS_SHA256
 
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(11, 16), st.integers(0, 10_000), st.sampled_from((0.3, 0.5, 0.8)), st.data())
+    def test_invariance_above_ten(self, n, seed, p, data):
+        g = random_graph(n, p, seed)
+        perm = data.draw(st.permutations(list(range(n))))
+        assert canonical_form(permute(g, perm)) == canonical_form(g)
+
+    def test_agrees_with_networkx_above_ten(self):
+        """Equal forms exactly for isomorphic pairs at orders 11..13: a graph
+        against a relabelling of itself, and against a double-edge swap of
+        itself, which keeps every degree."""
+        rng = random.Random(13)
+        verdicts = []
+        for i in range(24):
+            n = 11 + i % 3
+            g = random_graph(n, (0.3, 0.5)[i % 2], 500 + i)
+            want = nx.Graph(g.edges())
+            want.add_nodes_from(range(n))
+            swapped = nx.double_edge_swap(want.copy(), nswap=1 + i % 2, seed=i)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h, other in ((permute(g, perm), want), (graph_from_edges(n, swapped.edges()), swapped)):
+                assert sorted(d for _, d in other.degree()) == sorted(map(int.bit_count, g.adj))
+                verdicts.append(nx.is_isomorphic(want, other))
+                assert (canonical_form(h) == canonical_form(g)) == verdicts[-1]
+        assert False in verdicts  # some pairs of equal degrees are not isomorphic
+
+    def test_vertex_transitive_at_sixteen(self):
+        """The slow path: circulants C16(1, 3) and C16(1, 5) are isomorphic
+        (multiply by 5), and C16(3, 5) is isomorphic to neither."""
+        forms = [canonical_form(graph_from_edges(16, {(i, (i + j) % 16) for i in range(16) for j in jumps}))
+                 for jumps in ((1, 3), (1, 5), (3, 5))]
+        assert forms[0] == forms[1] != forms[2]
+
     def test_rejects_large(self):
         with pytest.raises(GraphError):
-            canonical_form(graph_from_edges(11, []))
+            canonical_form(graph_from_edges(17, []))
 
 
 class TestAllGraphs:
